@@ -67,8 +67,6 @@ class KGConfig:
     # write) are never starved — a real GPU model would set num_gpus
     # instead and this stays small
     actor_num_cpus: float = 0.5
-    # salted-shuffle fan for the hot-key dedup/canonicalize shuffles
-    dedup_salt: int = 16
     # NER backend (M2/M2'): "gazetteer" (fixed-list longest match) or
     # "heuristic" (capitalized-run + corp-suffix — recognizes unseen
     # names); real spaCy/HF models register in stages/ner.make_tagger

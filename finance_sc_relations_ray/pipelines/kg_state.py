@@ -1,43 +1,52 @@
-"""Incremental ingest for the KG triple store — the persisted-artifact
-lifecycle of the FLAGSHIP output itself.
+"""Incremental ingest for the KG triple store: the persisted,
+deduplicated relation items of the flagship pipeline.
 
-The north rule's production shape: crawls arrive incrementally, so the
-deduplicated triple table (the reference's DynamoDB relation items,
-``/root/reference/src/relation_extraction/reporter.py:39-73``, here the
-partitioned-parquet KV sink of pipelines/kg.py) must be a PERSISTED
-sharded artifact each new crawl merges into — never a whole-corpus
-re-extract + re-dedup. This module closes that lifecycle the same way
-``retrieval.update_bm25_index`` closed the index's and
-``web.update_url_state`` closed the url state's:
+Crawls arrive incrementally, so the deduplicated triple table (the
+reference's DynamoDB relation items, reference
+``src/relation_extraction/reporter.py:39-73``, here hive-partitioned
+parquet) is a PERSISTED sharded artifact each new crawl merges into —
+never a whole-corpus re-extract + re-dedup.
 
 - state = one folded row per canonical ``(subj, pred, obj)`` triple
   with the exact payload-merge semantics of the in-pipeline dedup
   (stages/shuffle.py module docstring: score max, n_mentions sum, ids
   min-non-null, witness url min, sentence_ids bottom-64 union), keyed
-  into ``shard=<k>/`` hive dirs by a STABLE md5 of the triple key;
-- each crawl delta runs the normal KG pipeline (actor pools and all),
-  folds crawl-locally, then merges SHARD-PRUNED: shards the delta's
-  triples do not touch are carried forward at file level (copy — never
-  read, decoded, or shuffled), touched shards pay a path-pruned read +
-  one re-fold. Ingest cost scales with the delta, not the KG.
+  into ``shard=<k>/`` hive dirs by a STABLE md5 of the triple key, plus
+  a one-row ``_meta.parquet`` recording ``n_shards``;
+- a merge is one lazy Ray Data plan, run as ONE execution with ONE
+  exchange: the delta crawl through ``build_kg_pipeline(dedup=False)``;
+  a per-batch combiner that drops meta rows and attaches the persisted
+  shard; ``groupby("shard").map_groups``, where each group reads its
+  own base shard files with pyarrow and folds them with the delta rows;
+  ``write_parquet(partition_cols=["shard"])``. The touched shards are
+  exactly the ``shard=`` dirs that write produced; every other shard is
+  carried forward by file copy (never read, decoded or shuffled), so
+  ingest cost scales with the delta, not the KG;
+- ``build_kg_state`` is the same merge into an empty store (a
+  ``_meta.parquet`` and no shards): build and update share one fold.
 
-Update == rebuild row-for-row (pytest-enforced) because every payload
-fold is associative + commutative — including the sentence_ids cap,
-which keeps the 64 SMALLEST ids (a bottom-k fold: the bottom-64 of a
-union equals the bottom-64 of the per-side bottom-64s). Meta rows
-(pred beginning ``_``: dead letters, marker-drop accounting) are
-pipeline bookkeeping, not knowledge — they are excluded from the state
-(the partitioned runner routes them to ``_dead_letter/`` instead).
+A merge writes ``<out_dir>.tmp`` and renames it into place, so a killed
+merge leaves the old state, also in place (``out_dir == state_dir``).
+
+Merging delta by delta equals one fold over all the crawls because
+every payload fold is associative + commutative — including the
+sentence_ids cap, which keeps the 64 SMALLEST ids (a bottom-k fold: the
+bottom-64 of a union equals the bottom-64 of the per-side bottom-64s).
+Meta rows (pred beginning ``_``: dead letters, marker-drop accounting)
+are pipeline bookkeeping, not knowledge — they are excluded from the
+state (the partitioned runner routes them to ``_dead_letter/``
+instead).
 
 Non-SQL (triples come from the actor-pool extraction pipeline): the
 driver records a rows-only check for ``kg_state_update``; exactness is
-pytest-oracled (tests/test_kg_state.py) against both a from-scratch
-rebuild and the one-shot pipeline over the concatenated crawls.
+pytest-oracled (tests/test_kg_state.py) against the single-process
+oracle over the concatenated crawls.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 
 import numpy as np
 import pandas as pd
@@ -70,6 +79,8 @@ STATE_COLS = [
     "sentence_ids",
     "n_mentions",
 ]
+# the schema of a shard file: the shard itself lives in the dir name
+_FILE_SCHEMA = pa.schema([STATE_SCHEMA.field(c) for c in STATE_COLS])
 
 
 def _triple_shards(df: "pd.DataFrame", n_shards: int) -> np.ndarray:
@@ -92,165 +103,108 @@ def _triple_shards(df: "pd.DataFrame", n_shards: int) -> np.ndarray:
     )
 
 
-def _crawl_partials(
-    pages_path: str, n_shards: int, config=None
-) -> "object":
-    """One crawl → crawl-folded (STATE_COLS + shard) triple rows: the
-    normal flagship pipeline (actor pools, combiner-first dedup), meta
-    rows dropped, stable shard attached."""
-    import pyarrow.compute as pc
-
-    from .kg import DEFAULT_CONFIG, build_kg_pipeline
-
-    triples = build_kg_pipeline(
-        pages_path, config=config or DEFAULT_CONFIG
-    )
-
-    def shard(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(
-            pc.invert(pc.starts_with(batch["pred"], "_"))
-        )
-        df = batch.select(STATE_COLS).to_pandas()
-        out = pa.table(
-            {
-                **{c: batch[c] for c in STATE_COLS},
-                "shard": pa.array(
-                    _triple_shards(df, n_shards), pa.int64()
-                ),
-            }
-        )
-        return out
-
-    return triples.map_batches(shard, batch_format="pyarrow")
+def _shard_files(state_dir: str, name: str) -> list[str]:
+    d = os.path.join(state_dir, name)
+    if not os.path.isdir(d):
+        return []
+    return [
+        os.path.join(d, f)
+        for f in sorted(os.listdir(d))
+        if f.endswith(".parquet")
+    ]
 
 
-def _fold_shards(ds: "object", n_shards: int) -> "object":
-    """(STATE_COLS + shard) rows → one folded row per triple, grouped
-    by shard: the identical vectorized merge kernel as the in-pipeline
-    dedup (stages/shuffle._merge_bucket), so state folding and
-    pipeline dedup cannot drift apart."""
-    from ..stages.joins import NO_FUSE_NUM_CPUS
-    from ..stages.shuffle import _merge_bucket
-
-    def fold(g: "pd.DataFrame") -> "pd.DataFrame":
-        out = _merge_bucket(g.drop(columns=["shard"]), STATE_KEYS)
-        out["shard"] = _triple_shards(out, n_shards)
-        return out[STATE_COLS + ["shard"]]
-
-    def to_arrow(batch: pa.Table) -> pa.Table:
-        # normalize the pandas map_groups blocks to Arrow with the
-        # exact state schema — union/sort over mixed pandas+arrow
-        # blocks trips Ray's block-type assertion
-        return batch.select(STATE_SCHEMA.names).cast(STATE_SCHEMA)
-
-    return (
-        ds.groupby("shard")
-        .map_groups(fold, batch_format="pandas", num_cpus=NO_FUSE_NUM_CPUS)
-        .map_batches(to_arrow, batch_format="pyarrow")
+def _shard_dirs(state_dir: str) -> list[str]:
+    return sorted(
+        n for n in os.listdir(state_dir) if n.startswith("shard=")
     )
 
 
-def build_kg_state(
-    pages_path: str, out_dir: str, n_shards: int = 16, config=None
-) -> str:
-    """Persist the triple store from a base crawl: hive-partitioned
-    ``shard=<k>/`` parquet dirs + a one-row ``_meta.parquet`` recording
-    n_shards. Atomic tmp+rename, so a killed build never leaves a
-    half-state a later merge would trust."""
-    import shutil
-
-    tmp = out_dir + ".tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
-    os.makedirs(tmp, exist_ok=True)
-    _fold_shards(
-        _crawl_partials(pages_path, n_shards, config), n_shards
-    ).write_parquet(tmp, partition_cols=["shard"])
-    pq.write_table(
-        pa.table({"n_shards": pa.array([n_shards], pa.int64())}),
-        os.path.join(tmp, "_meta.parquet"),
+def _read_files(paths: list[str]) -> pa.Table:
+    return pa.concat_tables(
+        [_FILE_SCHEMA.empty_table()]
+        + [
+            pq.read_table(p, columns=STATE_COLS).cast(_FILE_SCHEMA)
+            for p in paths
+        ]
     )
-    shutil.rmtree(out_dir, ignore_errors=True)
-    os.replace(tmp, out_dir)
-    return out_dir
 
 
 def update_kg_state(
     state_dir: str, delta_pages_path: str, out_dir: str, config=None
 ) -> str:
-    """Merge a DELTA crawl into a persisted triple store — shard-pruned
-    incremental ingest (module docstring). Overlapping triples between
+    """Merge a DELTA crawl into a persisted triple store in one Ray
+    Data execution (module docstring). Overlapping triples between
     base and delta MERGE (recrawled or re-reported relations bump
     n_mentions, advance score max, extend evidence) — that is the
     operator's purpose, mirroring update_url_state; contrast
-    update_bm25_index, where base∩delta doc overlap raises."""
-    import shutil
+    update_bm25_index, where base∩delta doc overlap raises.
+    ``out_dir`` may be ``state_dir``."""
+    import pyarrow.compute as pc
 
-    import ray.data
+    from ..stages.joins import NO_FUSE_NUM_CPUS
+    from ..stages.shuffle import _merge_bucket, partial_dedup_batch
+    from .kg import DEFAULT_CONFIG, build_kg_pipeline
 
     meta = pq.read_table(os.path.join(state_dir, "_meta.parquet"))
     n_shards = int(meta["n_shards"][0].as_py())
+    # the fold runs in workers, whose working directory is not ours
+    base_dir = os.path.abspath(state_dir)
 
-    # delta triples, crawl-folded, materialized (delta-bounded) —
-    # consumed twice: the touched-shard probe and the merge union
-    delta = _fold_shards(
-        _crawl_partials(delta_pages_path, n_shards, config), n_shards
-    ).materialize()
-    touched = sorted(
-        delta.groupby("shard")
-        .count()
-        .to_pandas()["shard"]
-        .astype(int)
-        .tolist()
-    )
-    touched_set = set(touched)
+    def delta_rows(batch: pa.Table) -> pa.Table:
+        # per-batch combiner: meta rows out, one row per triple, the
+        # persisted shard attached
+        batch = batch.filter(
+            pc.invert(pc.starts_with(batch["pred"], "_"))
+        )
+        part = partial_dedup_batch(batch, STATE_KEYS).select(STATE_COLS)
+        shard = _triple_shards(
+            part.select(STATE_KEYS).to_pandas(), n_shards
+        )
+        return part.append_column(
+            "shard", pa.array(shard, pa.int64())
+        ).cast(STATE_SCHEMA)
+
+    def fold(group: pa.Table) -> pa.Table:
+        # one touched shard: its base files (none in an empty store)
+        # folded with its delta rows by the in-pipeline dedup kernel
+        k = group["shard"][0].as_py()
+        rows = pa.concat_tables(
+            [
+                group.drop(["shard"]).cast(_FILE_SCHEMA),
+                _read_files(_shard_files(base_dir, f"shard={k}")),
+            ]
+        )
+        out = _merge_bucket(rows.to_pandas(), STATE_KEYS)
+        out["shard"] = k
+        return pa.Table.from_pandas(
+            out[STATE_SCHEMA.names],
+            schema=STATE_SCHEMA,
+            preserve_index=False,
+        )
 
     tmp = out_dir + ".tmp"
     shutil.rmtree(tmp, ignore_errors=True)
-    os.makedirs(tmp, exist_ok=True)
+    os.makedirs(tmp)
+    # num_cpus keeps the fold an unfused operator, as in
+    # stages/shuffle.salted_dedup
+    (
+        build_kg_pipeline(
+            delta_pages_path, config=config or DEFAULT_CONFIG, dedup=False
+        )
+        .map_batches(delta_rows, batch_format="pyarrow")
+        .groupby("shard")
+        .map_groups(fold, batch_format="pyarrow", num_cpus=NO_FUSE_NUM_CPUS)
+        .write_parquet(tmp, partition_cols=["shard"])
+    )
 
-    # untouched shards: file-level carry-forward (never read)
-    for name in os.listdir(state_dir):
-        if not name.startswith("shard="):
-            continue
-        if int(name.split("=", 1)[1]) not in touched_set:
+    # the write produced exactly the touched shards; the rest are
+    # carried forward at file level (never read)
+    for name in _shard_dirs(state_dir):
+        if not os.path.exists(os.path.join(tmp, name)):
             shutil.copytree(
                 os.path.join(state_dir, name), os.path.join(tmp, name)
             )
-
-    # touched shards: path-pruned read of ONLY those dirs, union with
-    # the delta rows, one re-fold, write back
-    if touched:
-        base_paths = [
-            os.path.join(state_dir, f"shard={k}", f)
-            for k in touched
-            if os.path.isdir(os.path.join(state_dir, f"shard={k}"))
-            for f in sorted(
-                os.listdir(os.path.join(state_dir, f"shard={k}"))
-            )
-            if f.endswith(".parquet")
-        ]
-        parts = delta
-        if base_paths:
-            base = ray.data.read_parquet(base_paths, columns=STATE_COLS)
-
-            def reshard(batch: pa.Table) -> pa.Table:
-                df = batch.select(STATE_KEYS).to_pandas()
-                return pa.table(
-                    {
-                        **{c: batch[c] for c in STATE_COLS},
-                        "shard": pa.array(
-                            _triple_shards(df, n_shards), pa.int64()
-                        ),
-                    }
-                ).cast(STATE_SCHEMA)
-
-            parts = base.map_batches(
-                reshard, batch_format="pyarrow"
-            ).union(delta.select_columns(STATE_COLS + ["shard"]))
-        _fold_shards(parts, n_shards).write_parquet(
-            tmp, partition_cols=["shard"]
-        )
-
     shutil.copy2(
         os.path.join(state_dir, "_meta.parquet"),
         os.path.join(tmp, "_meta.parquet"),
@@ -260,19 +214,33 @@ def update_kg_state(
     return out_dir
 
 
+def build_kg_state(
+    pages_path: str, out_dir: str, n_shards: int = 16, config=None
+) -> str:
+    """Persist the triple store from a base crawl: the merge of that
+    crawl into an empty store (a ``_meta.parquet`` recording
+    ``n_shards`` and no shards). Atomic tmp+rename, so a killed build
+    never leaves a half-state a later merge would trust."""
+    empty = out_dir + ".empty"
+    shutil.rmtree(empty, ignore_errors=True)
+    os.makedirs(empty)
+    pq.write_table(
+        pa.table({"n_shards": pa.array([n_shards], pa.int64())}),
+        os.path.join(empty, "_meta.parquet"),
+    )
+    try:
+        return update_kg_state(empty, pages_path, out_dir, config)
+    finally:
+        shutil.rmtree(empty, ignore_errors=True)
+
+
 def read_kg_state(state_dir: str) -> pd.DataFrame:
     """All state rows (STATE_COLS), sorted by triple key — the
-    comparison/reporting shim."""
-    import ray.data
-
-    paths = [
-        os.path.join(state_dir, n, f)
-        for n in sorted(os.listdir(state_dir))
-        if n.startswith("shard=")
-        for f in sorted(os.listdir(os.path.join(state_dir, n)))
-        if f.endswith(".parquet")
-    ]
-    out = ray.data.read_parquet(paths, columns=STATE_COLS).to_pandas()
+    comparison/reporting shim. A store with no shards reads as an
+    empty frame."""
+    out = _read_files(
+        [p for n in _shard_dirs(state_dir) for p in _shard_files(state_dir, n)]
+    ).to_pandas()
     out["sentence_ids"] = [list(x) for x in out["sentence_ids"]]
     return out.sort_values(STATE_KEYS).reset_index(drop=True)
 
@@ -310,7 +278,6 @@ def kg_state_update(sf_dir: str) -> pd.DataFrame:
     through the shard-pruned path, read the merged state back.
     Equality with a from-scratch rebuild and with the one-shot
     pipeline over the concatenated crawls is pytest-enforced."""
-    import shutil
     import tempfile
 
     from ..sources.pages import pages_parquet_for

@@ -1,18 +1,22 @@
 """Incremental KG triple-store ingest (pipelines/kg_state.py): the
-shard-pruned merge must equal a from-scratch rebuild row-for-row
-(fold associativity, incl. the sentence_ids bottom-64 cap), untouched
-shards must be carried forward at file level (byte-identical — never
-read or re-folded), overlapping triples must MERGE, and meta rows must
-never enter the state."""
+shard-pruned merge must equal a from-scratch rebuild row-for-row and,
+over a chain of merges, the single-process oracle (fold associativity,
+incl. the sentence_ids bottom-64 cap), untouched shards must be carried
+forward at file level (byte-identical — never read or re-folded),
+overlapping triples must MERGE, meta rows must never enter the state,
+and empty deltas and empty stores must merge without raising."""
 
 import os
 
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
 from finance_sc_relations_ray.pipelines import kg_state as K
 from finance_sc_relations_ray.sources.pages import generate_pages
+from oracle.kg_oracle import expected_triples
 
 
 @pytest.fixture(scope="module")
@@ -120,3 +124,79 @@ def test_driver_shim_runs_and_is_folded():
     # folded: one row per triple key
     assert not out.duplicated(K.STATE_KEYS).any()
     assert (out["n_mentions"] >= 1).all()
+
+
+def _normalized(df):
+    """Triples as the benchmark compares them: meta rows dropped, score
+    at 4 decimals, sentence ids as int lists, sorted by key."""
+    cols = ["subj", "pred", "obj", "score", "n_mentions", "subj_id",
+            "obj_id", "url", "sentence_ids"]
+    df = df[~df["pred"].astype(str).str.startswith("_")][cols].copy()
+    df["score"] = df["score"].astype("float64").round(4)
+    df["n_mentions"] = df["n_mentions"].astype("int64")
+    df["sentence_ids"] = [[int(x) for x in v] for v in df["sentence_ids"]]
+    return df.sort_values(K.STATE_KEYS).reset_index(drop=True)
+
+
+def test_delta_chain_in_place_equals_oracle(crawls, base_state):
+    # base + two deltas, the second merged in place (out_dir ==
+    # state_dir): the state must equal the single-process oracle over
+    # every page merged, not just another run of the same fold
+    d = crawls["dir"]
+    state = str(d / "state_chain")
+    K.update_kg_state(base_state, crawls["delta"], state)
+    delta2 = str(d / "delta2.parquet")
+    pq.write_table(generate_pages(list(range(160, 200))), delta2)
+    assert K.update_kg_state(state, delta2, state) == state
+    assert not os.path.exists(state + ".tmp")
+
+    exp = expected_triples(generate_pages(list(range(200))))
+    got = K.read_kg_state(state)
+    assert len(got) == len(exp)
+    pd.testing.assert_frame_equal(_normalized(got), _normalized(exp))
+
+
+def test_empty_delta_keeps_state_byte_identical(crawls, base_state):
+    # a delta with no triples (every page non-English) merges to the
+    # base state: every shard and _meta.parquet carried over unchanged
+    pages = generate_pages(list(range(600, 605)))
+    pages = pages.set_column(
+        pages.schema.get_field_index("lang"), "lang",
+        pa.array(["de"] * pages.num_rows, pa.string()),
+    )
+    empty = str(crawls["dir"] / "delta_de.parquet")
+    pq.write_table(pages, empty)
+    upd = str(crawls["dir"] / "state_empty_delta")
+    K.update_kg_state(base_state, empty, upd)
+
+    pd.testing.assert_frame_equal(
+        K.read_kg_state(upd), K.read_kg_state(base_state)
+    )
+    assert _shard_bytes(upd) == _shard_bytes(base_state)
+    with open(os.path.join(base_state, "_meta.parquet"), "rb") as a, open(
+        os.path.join(upd, "_meta.parquet"), "rb"
+    ) as b:
+        assert a.read() == b.read()
+
+
+def test_empty_store_reads_empty_and_merges(crawls):
+    # a build over a crawl with no triples is a store with no shards:
+    # it reads as an empty frame, and a merge into it equals a build
+    pages = pq.read_table(crawls["delta"])
+    none = str(crawls["dir"] / "no_triples.parquet")
+    pq.write_table(
+        pages.filter(pc.equal(pages["lang"], "xx")), none
+    )
+    empty = str(crawls["dir"] / "state_empty")
+    K.build_kg_state(none, empty)
+    assert not [n for n in os.listdir(empty) if n.startswith("shard=")]
+    got = K.read_kg_state(empty)
+    assert len(got) == 0 and list(got.columns) == K.STATE_COLS
+
+    upd = str(crawls["dir"] / "state_empty_upd")
+    K.update_kg_state(empty, crawls["delta"], upd)
+    reb = str(crawls["dir"] / "state_delta_only")
+    K.build_kg_state(crawls["delta"], reb)
+    merged = K.read_kg_state(upd)
+    assert len(merged) > 0
+    pd.testing.assert_frame_equal(merged, K.read_kg_state(reb))
