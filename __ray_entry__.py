@@ -39,7 +39,7 @@ def entry() -> Any:
     Dataset (≥0 rows, stable schema)."""
     from finance_sc_relations_ray.pipelines.kg import build_kg_pipeline
 
-    return build_kg_pipeline(_pages(SF0001), num_partitions=4)
+    return build_kg_pipeline(_pages(SF0001))
 
 
 # --------------------------------------------------------------------- #
@@ -62,18 +62,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
     )
 
     def kg_triples(sf_dir: str):
-        return build_kg_pipeline(_pages(sf_dir), num_partitions=8)
+        return build_kg_pipeline(_pages(sf_dir))
 
     def kg_doc_relations(sf_dir: str):
-        return build_kg_pipeline(_pages(sf_dir), dedup=False, num_partitions=8)
-
-    def kg_triples_shuffle_plan(sf_dir: str):
-        # the explicit bucketed-shuffle physical plan (sentence-level
-        # input shape) — equivalence with the page-local plan is
-        # asserted in tests/test_plan_equivalence.py
-        return build_kg_pipeline(
-            _pages(sf_dir), num_partitions=8, page_local=False, fused=True
-        )
+        return build_kg_pipeline(_pages(sf_dir), dedup=False)
 
     def kg_training_data(sf_dir: str):
         from finance_sc_relations_ray.pipelines.training_data import (
@@ -448,7 +440,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "kg_doc_relations": kg_doc_relations,
         "kg_alias_items": kg_alias_items,
         "kg_relation_items": kg_relation_items,  # KV item shape (non-SQL)
-        "kg_triples_shuffle_plan": kg_triples_shuffle_plan,
         "kg_training_data": kg_training_data,  # non-SQL (seeded split/shuffle)
         # incremental triple-store ingest (non-SQL): base state + a
         # delta-crawl fixture through the shard-pruned merge; equality

@@ -146,7 +146,7 @@ def _pipeline_smoke_main(argv: list[str]) -> int:
         os.makedirs(os.path.dirname(tmp), exist_ok=True)
         pq.write_table(pages, tmp)
         cfg = KGConfig(ner_backend=args.tagger, re_backend=args.scorer)
-        got = build_kg_pipeline(tmp, config=cfg, num_partitions=4).to_pandas()
+        got = build_kg_pipeline(tmp, config=cfg).to_pandas()
 
         from oracle.kg_oracle import expected_triples
 

@@ -57,10 +57,7 @@ class KGConfig:
     # SURVEY.md §4)
     ner_batch_size: int = 256
     ner_concurrency: tuple[int, int] = (1, 8)
-    re_batch_size: int = 256
-    re_concurrency: tuple[int, int] = (1, 8)
     link_batch_size: int = 4096
-    sc_concurrency: tuple[int, int] = (1, 4)
     link_concurrency: tuple[int, int] = (1, 2)
     # fractional CPU per stub actor: keeps the sum of actor-pool minimums
     # below the node's CPU count so task-pool operators (read, shuffle,
@@ -138,25 +135,20 @@ DEFAULT_CONFIG = KGConfig()
 
 
 def scaled_config(num_cpus: int) -> KGConfig:
-    """Size the actor pools to a node's CPU count: the NER and RE pools
-    (the heavy model stages) may autoscale up to ~the CPU count, the
-    light gate/link pools to a fraction, with fractional CPU
-    reservations keeping headroom for the task-pool stages."""
+    """Size the actor pools to a node's CPU count: the page-model pool
+    (``ner_concurrency``, the heavy stage) to ~80% of the CPUs, the
+    light link pool to a fraction, with fractional CPU reservations keeping
+    headroom for the task-pool stages."""
     # FIXED pool sizes (an int, not an autoscaling tuple): Ray Data's
     # autoscaling pool ramps up too slowly for short CPU-bound jobs —
     # measured load average stuck at ~5 of 32 cores with (1, 32).
     # Fractional num_cpus (0.5) keeps reservations at half the cores so
     # read/shuffle task operators never starve.
-    # heavy pools take ~80% of the cluster's CPUs at EVERY size; the
+    # the heavy pool takes ~80% of the cluster's CPUs at EVERY size; the
     # remainder is headroom for the link pool, read tasks and the
     # object store — an oversubscribed pool (pool == all CPUs) measured
     # ~30% slower at 32 CPUs
-    import os
-
-    frac = float(os.environ.get("GRAFT_POOL_FRACTION", "0.8"))
     return KGConfig(
-        ner_concurrency=max(4, int(num_cpus * frac)),
-        re_concurrency=max(4, int(num_cpus * frac)),
-        sc_concurrency=max(2, num_cpus // 4),
+        ner_concurrency=max(4, int(num_cpus * 0.8)),
         link_concurrency=max(2, num_cpus // 8),
     )

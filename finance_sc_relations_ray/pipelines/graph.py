@@ -913,7 +913,7 @@ def kg_entity_pagerank(sf_dir: str, iters: int = 8) -> "ray.data.Dataset":
     from ..sources.pages import pages_parquet_for
     from .kg import build_kg_pipeline
 
-    triples = build_kg_pipeline(pages_parquet_for(sf_dir), num_partitions=8)
+    triples = build_kg_pipeline(pages_parquet_for(sf_dir))
 
     def edge_partials(batch: pa.Table) -> pa.Table:
         # meta rows (pred beginning "_") are pipeline bookkeeping, not

@@ -1,21 +1,22 @@
 """The flagship KG-construction pipeline (SURVEY.md §7.1 DAG).
 
-One streaming ``ray.data.Dataset`` lineage:
+One streaming ``ray.data.Dataset`` lineage, one physical plan:
 
     read_parquet(pages; url,html,lang pruned at the read)
-      → filter(lang == "en")                       [vectorized Arrow]
-      → map_batches(extract html→text)             [stateless]
-      → map_batches(sentencize + clean fan-out)    [stateless]
-      → map_batches(NerActor, actor pool)          [stateful]
-      → map_batches(ScGateActor, actor pool)       [stateful]
-      → map_batches(gate filter)                   [vectorized Arrow]
-      → map_batches(pair enumeration + tagging)    [stateless, high fanout]
-      → map_batches(ReScorerActor, actor pool)     [stateful]
-      → repartition (explicit, pre-shuffle)
-      → groupby(url).map_groups(aggregate_doc)     [SHUFFLE #1]
-      → map_batches(LinkActor, broadcast DB)       [stateful, NO shuffle]
+      → map_batches(PageKGActor, actor pool)       [stateful, page-local]
+          per page: lang filter → extract html→text → sentencize + clean
+          → SC gate → NER + alias grouping → pair enumeration + tagging
+          → RE scoring → per-document aggregation → entity linking
+          (broadcast company DB)
       → map_batches(to_triples)                    [stateless]
-      → salted dedup on (subj,pred,obj)            [SHUFFLE #2, combiner-first]
+      → salted dedup on (subj,pred,obj)            [the one exchange,
+                                                    combiner-first]
+
+The input is one row per document, so every stage up to linking is
+local to a page and runs fused in one actor (stages/fused.py); the
+composable stage classes (stages/ner.py, stages/scoring.py,
+stages/doc_agg.py, stages/link.py) are what ``oracle/kg_oracle.py``
+composes, and tests/test_pipeline_e2e.py holds the pipeline equal to it.
 
 Ray is never initialised here (driver / bench / tests own the session).
 """
@@ -32,11 +33,18 @@ import ray.data
 
 from ..config import actor_resources, DEFAULT_CONFIG, KGConfig
 from ..gazetteer import company_db_table
-from ..stages import extract, ner, scoring
-from ..stages.doc_agg import DOC_RELATIONS_SCHEMA, aggregate_bucket
-from ..stages.link import LinkActor
+from ..stages import extract
 from ..stages.shuffle import salted_dedup
 from ..stages.triples import to_triples_batch
+
+
+def default_read_blocks() -> int:
+    """Read block count for a page read: three per cluster CPU, at
+    least 8 (32 when the cluster cannot be asked)."""
+    try:
+        return max(8, int(ray.cluster_resources().get("CPU", 8)) * 3)
+    except Exception:
+        return 32
 
 
 def read_pages(path: str, read_blocks: int | None = None) -> "ray.data.Dataset":
@@ -60,132 +68,29 @@ def sentences_dataset(pages: "ray.data.Dataset") -> "ray.data.Dataset":
     )
 
 
-def scored_pairs_dataset(
-    sentences: "ray.data.Dataset", config: KGConfig = DEFAULT_CONFIG
+def linked_docs_dataset(
+    pages: "ray.data.Dataset",
+    config: KGConfig = DEFAULT_CONFIG,
+    company_db: pa.Table | None = None,
+    db_ref=None,
 ) -> "ray.data.Dataset":
-    return (
-        sentences.map_batches(
-            ner.NerActor,
-            fn_constructor_kwargs={"config": config},
-            batch_format="pyarrow",
-            batch_size=config.ner_batch_size,
-            concurrency=config.ner_concurrency,
-            **actor_resources(config),
-        )
-        .map_batches(
-            scoring.ScGateActor,
-            fn_constructor_kwargs={"config": config},
-            batch_format="pyarrow",
-            batch_size=config.ner_batch_size,
-            concurrency=config.sc_concurrency,
-            **actor_resources(config),
-        )
-        .map_batches(scoring.gate_filter, batch_format="pyarrow")
-        .map_batches(
-            functools.partial(
-                scoring.enumerate_pairs_batch, num_positions=config.num_positions
-            ),
-            batch_format="pyarrow",
-        )
-        .map_batches(
-            scoring.ReScorerActor,
-            fn_constructor_kwargs={"config": config},
-            batch_format="pyarrow",
-            batch_size=config.re_batch_size,
-            concurrency=config.re_concurrency,
-            **actor_resources(config),
-        )
-    )
+    """Page rows (url, html, lang; optionally ``__part``) → linked
+    per-document verdict rows, through one ``PageKGActor`` pool. The
+    company DB is broadcast once via ``ray.put`` (pass ``db_ref`` to
+    reuse a ref across executions) and linked inline in each actor."""
+    from ..stages.fused import PageKGActor
 
-
-def fused_scored_pairs_dataset(
-    sentences: "ray.data.Dataset", config: KGConfig = DEFAULT_CONFIG
-) -> "ray.data.Dataset":
-    """Single fused actor pool for all per-sentence model work (see
-    stages/fused.py for the tradeoff vs the composable pools)."""
-    from ..stages.fused import SentencePairScorer
-
-    return sentences.map_batches(
-        SentencePairScorer,
-        fn_constructor_kwargs={"config": config},
+    if db_ref is None:
+        db_ref = ray.put(
+            company_db if company_db is not None else company_db_table()
+        )
+    return pages.map_batches(
+        PageKGActor,
+        fn_constructor_kwargs={"config": config, "db_ref": db_ref},
         batch_format="pyarrow",
-        batch_size=config.ner_batch_size,
+        batch_size=64,
         concurrency=config.ner_concurrency,
         **actor_resources(config),
-    )
-
-
-def doc_relations_dataset(
-    scored_pairs: "ray.data.Dataset",
-    config: KGConfig = DEFAULT_CONFIG,
-    num_partitions: int | None = None,
-    num_buckets: int | None = None,
-) -> "ray.data.Dataset":
-    """SHUFFLE #1 — explicit repartition, then a BUCKETED
-    groupby/map_groups: rows co-partition on ``crc32(url) % num_buckets``
-    and each group is a bucket of whole documents, so the per-group
-    overhead (Arrow slicing, conversion) is paid per bucket, not per url
-    — the per-url variant pays it 10^12 times at scale. Columns not
-    needed by the aggregation (tagged text, spans, gate scores) are
-    dropped BEFORE the shuffle so the all-to-all moves minimal bytes.
-    Pages are bounded (≤ a few hundred pairs), so per-doc work is
-    O(small); url-hash keys distribute uniformly (SURVEY.md §7.4)."""
-    import pandas as pd
-
-    from ..config import exchange_fanout
-
-    num_buckets = exchange_fanout(num_buckets, floor=128)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        # vectorized within-job routing hash (stable across worker
-        # processes — the salted_dedup add_bucket rationale); the old
-        # per-row crc32 loop was the r4 verdict's to_pylist audit item
-        hb = (
-            pd.util.hash_pandas_object(
-                batch["url"].to_pandas(), index=False
-            ).to_numpy()
-            % num_buckets
-        ).astype("int32")
-        return batch.append_column("bucket", pa.array(hb, pa.int32()))
-
-    ds = scored_pairs.select_columns(
-        ["url", "sent_id", "r_id", "entity1", "entity2",
-         "scores", "org_groups", "aliases"]
-    ).map_batches(add_bucket, batch_format="pyarrow")
-    if num_partitions:
-        ds = ds.repartition(num_partitions)
-    from ..stages.joins import NO_FUSE_NUM_CPUS
-
-    # num_cpus also blocks downstream-map fusion: a fused map would
-    # re-bundle the sorted blocks and aggregate_bucket would see a url
-    # split across calls (stages/joins.py NO_FUSE_NUM_CPUS rationale) —
-    # the downstream link actors' num_cpus=0.5 already blocks it, but
-    # the guarantee must not depend on what the caller appends
-    return (
-        ds.groupby("bucket")
-        .map_groups(
-            functools.partial(aggregate_bucket, config=config),
-            batch_format="pyarrow",
-            num_cpus=NO_FUSE_NUM_CPUS,
-        )
-    )
-
-
-def linked_dataset(
-    doc_relations: "ray.data.Dataset",
-    company_db: pa.Table | None = None,
-    config: KGConfig = DEFAULT_CONFIG,
-) -> "ray.data.Dataset":
-    """Broadcast-join entity linking: DB shipped once via ray.put, read
-    in each actor's __init__ — never re-shipped per batch."""
-    db_ref = ray.put(company_db if company_db is not None else company_db_table())
-    return doc_relations.map_batches(
-        LinkActor,
-        fn_constructor_kwargs={"db_ref": db_ref, "config": config},
-        batch_format="pyarrow",
-        batch_size=config.link_batch_size,
-        concurrency=config.link_concurrency,
-            **actor_resources(config),
     )
 
 
@@ -360,9 +265,10 @@ def relation_items_dataset(
     relationshipLabel, predictionScore). Common-Crawl analog: PK =
     ``page#<url>`` (pages have no accession number), values from the
     linked per-doc verdict stream."""
-    pipeline = build_kg_pipeline(
-        pages_path, config=config, company_db=company_db,
-        dedup=False, read_blocks=read_blocks, _emit_linked=True,
+    if read_blocks is None:
+        read_blocks = default_read_blocks()
+    pipeline = linked_docs_dataset(
+        read_pages(pages_path, read_blocks), config, company_db
     )
 
     def to_items(batch: pa.Table) -> pa.Table:
@@ -424,70 +330,22 @@ def build_kg_pipeline(
     config: KGConfig = DEFAULT_CONFIG,
     company_db: pa.Table | None = None,
     dedup: bool = True,
-    num_partitions: int | None = None,
     read_blocks: int | None = None,
-    fused: bool = True,
-    page_local: bool = True,
-    _emit_linked: bool = False,
 ) -> "ray.data.Dataset":
     """pages parquet → deduplicated canonical triples Dataset (lazy).
 
-    Three equivalent physical plans (all emit identical triples —
-    tested):
-
-    - ``page_local=True`` (default): the input is one row per document,
-      so the per-document aggregation is LOCAL — one fused actor pool
-      does extract→sentencize→score→doc-aggregate and the only shuffle
-      left is the combiner-first triple dedup. This is the 100 TB plan
-      for document-shaped inputs.
-    - ``page_local=False, fused=True``: sentence fan-out, one fused
-      model pool, then the explicit bucketed groupby(url) shuffle —
-      the plan for sentence-fragmented inputs (e.g. resuming from a
-      persisted sentence table).
-    - ``page_local=False, fused=False``: separate NER / SC / pair / RE
-      actor pools — the layout real GPU models need (per-model batch
-      shapes and device reservations).
+    The input is one row per document, so the per-document work is
+    local: one ``PageKGActor`` pool does extract → sentencize → score →
+    doc-aggregate → link, and the only exchange is the combiner-first
+    triple dedup (``dedup=False`` skips it and returns the per-document
+    triple rows, meta rows included). ``read_blocks`` defaults to
+    :func:`default_read_blocks`.
     """
     if read_blocks is None:
-        try:
-            read_blocks = max(8, int(ray.cluster_resources().get("CPU", 8)) * 3)
-        except Exception:
-            read_blocks = 32
-    pages = read_pages(pages_path, read_blocks)
-    if page_local:
-        from ..stages.fused import PageKGActor
-
-        # entity linking runs inline in the same actor (broadcast DB via
-        # ray.put, per-actor cached prefix index) — one pool, no extra
-        # stage boundary
-        db_ref = ray.put(
-            company_db if company_db is not None else company_db_table()
-        )
-        linked = pages.map_batches(
-            PageKGActor,
-            fn_constructor_kwargs={"config": config, "db_ref": db_ref},
-            batch_format="pyarrow",
-            batch_size=64,
-            concurrency=config.ner_concurrency,
-            **actor_resources(config),
-        )
-        if _emit_linked:
-            return linked
-        if not dedup:
-            return linked.map_batches(
-                functools.partial(to_triples_batch, config=config),
-                batch_format="pyarrow",
-            )
-        return triples_dataset(linked, config)
-    sentences = sentences_dataset(pages)
-    if fused:
-        scored = fused_scored_pairs_dataset(sentences, config)
-    else:
-        scored = scored_pairs_dataset(sentences, config)
-    docs = doc_relations_dataset(scored, config, num_partitions)
-    linked = linked_dataset(docs, company_db, config)
-    if _emit_linked:
-        return linked
+        read_blocks = default_read_blocks()
+    linked = linked_docs_dataset(
+        read_pages(pages_path, read_blocks), config, company_db
+    )
     if not dedup:
         return linked.map_batches(
             functools.partial(to_triples_batch, config=config),
@@ -518,7 +376,6 @@ def kg_from_crawl(
     (pytest-oracled against the pure-Python oracle on formula-derived
     winner pages, including a planted case where a stale snapshot
     carries different html — tests/test_kg_from_crawl.py)."""
-    from ..stages.fused import PageKGActor
     from .web import url_keep_latest_pages_ds
 
     winners = url_keep_latest_pages_ds(
@@ -533,17 +390,7 @@ def kg_from_crawl(
         return batch.select(["url", "html", "lang"]).cast(page_schema)
 
     pages = winners.map_batches(to_pages, batch_format="pyarrow")
-    db_ref = ray.put(
-        company_db if company_db is not None else company_db_table()
-    )
-    linked = pages.map_batches(
-        PageKGActor,
-        fn_constructor_kwargs={"config": config, "db_ref": db_ref},
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=config.ner_concurrency,
-        **actor_resources(config),
-    )
+    linked = linked_docs_dataset(pages, config, company_db)
     return triples_dataset(linked, config)
 
 

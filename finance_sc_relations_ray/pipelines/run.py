@@ -39,7 +39,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..config import actor_resources, DEFAULT_CONFIG, KGConfig
+from ..config import DEFAULT_CONFIG, KGConfig
 from ..state.manifest import Manifest
 from ..stages.shuffle import salted_dedup
 from ..stages.triples import to_triples_batch
@@ -76,7 +76,7 @@ def run_partitioned(
     import pyarrow.parquet as pq_
 
     from ..gazetteer import company_db_table
-    from ..stages.fused import PageKGActor
+    from .kg import default_read_blocks, linked_docs_dataset
 
     files = _input_files(pages_path)
     num_parts = min(num_parts, len(files))
@@ -98,10 +98,7 @@ def run_partitioned(
         "files_read": 0,
     }
     db_ref = ray.put(company_db_table())
-    try:
-        read_blocks = max(8, int(ray.cluster_resources().get("CPU", 8)) * 3)
-    except Exception:
-        read_blocks = 32
+    read_blocks = default_read_blocks()
 
     for chunk in chunks:
         # ONE dataset execution per CHUNK of parts, not one per part:
@@ -137,15 +134,10 @@ def run_partitioned(
                 "__part", pa.array(parts, pa.int32())
             )
 
-        linked = pages.map_batches(
-            tag_part, batch_format="pyarrow"
-        ).map_batches(
-            PageKGActor,
-            fn_constructor_kwargs={"config": config, "db_ref": db_ref},
-            batch_format="pyarrow",
-            batch_size=64,
-            concurrency=config.ner_concurrency,
-            **actor_resources(config),
+        linked = linked_docs_dataset(
+            pages.map_batches(tag_part, batch_format="pyarrow"),
+            config,
+            db_ref=db_ref,
         )
         triples = linked.map_batches(
             functools.partial(to_triples_batch, config=config),

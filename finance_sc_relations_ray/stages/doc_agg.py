@@ -1,5 +1,8 @@
-"""Stage 8: per-document relation aggregation — the pipeline's one big
-shuffle (``groupby("url").map_groups``).
+"""Stage 8: per-document relation aggregation. The input is one row
+per page, so a document's pairs are all produced in one
+``PageKGActor`` call and aggregated there (stages/fused.py), with no
+exchange; ``aggregate_doc`` is the same step over one document's Arrow
+table, composed by ``oracle/kg_oracle.py``.
 
 Re-implements the reference's per-filing reporter semantics
 (src/relation_extraction/reporter.py:240-346) plus the pair-level steps
@@ -33,7 +36,6 @@ from __future__ import annotations
 from collections import defaultdict
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from ..config import DEFAULT_CONFIG, INVERSE_RELATION, KGConfig
@@ -103,48 +105,14 @@ _AGG_COLS = ("url", "sent_id", "r_id", "entity1", "entity2",
              "scores", "org_groups", "aliases")
 
 
-def _extract_cols(group) -> dict[str, list]:
-    if isinstance(group, pa.Table):
-        return {c: group.column(c).to_pylist() for c in _AGG_COLS}
-    return {c: group[c].tolist() for c in _AGG_COLS}
-
-
-def aggregate_bucket(
-    group: "pa.Table | pd.DataFrame", config: KGConfig = DEFAULT_CONFIG
-) -> pa.Table:
-    """A BUCKET of documents (hash(url) % B co-partitioning) → verdict
-    rows for every document in it. Converting the group to Python lists
-    once and iterating url runs amortizes the per-group overhead that a
-    per-url map_groups pays 10^12 times at scale."""
-    col = _extract_cols(group)
-    n = len(col["url"])
-    order = sorted(range(n), key=lambda i: col["url"][i])
-    col = {c: [col[c][i] for i in order] for c in _AGG_COLS}
-    outs = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or col["url"][i] != col["url"][start]:
-            doc_cols = {c: col[c][start:i] for c in _AGG_COLS}
-            outs.append(_aggregate_doc_cols(doc_cols, config))
-            start = i
-    if not outs:
-        return pa.Table.from_pylist([], schema=DOC_RELATIONS_SCHEMA)
-    return pa.concat_tables(outs)
-
-
 def aggregate_doc(
-    group: "pa.Table | pd.DataFrame", config: KGConfig = DEFAULT_CONFIG
+    group: pa.Table, config: KGConfig = DEFAULT_CONFIG
 ) -> pa.Table:
     """One document's scored pair-variants → per-company verdict rows."""
-    return _aggregate_doc_cols(_extract_cols(group), config)
-
-
-def _aggregate_doc_cols(
-    col: dict[str, list], config: KGConfig = DEFAULT_CONFIG
-) -> pa.Table:
-    """Core per-document aggregation over plain column lists."""
     out = {k: [] for k in DOC_RELATIONS_SCHEMA.names}
-    _aggregate_doc_into(col, out, config)
+    _aggregate_doc_into(
+        {c: group.column(c).to_pylist() for c in _AGG_COLS}, out, config
+    )
     return pa.table(
         {name: pa.array(out[name], type=DOC_RELATIONS_SCHEMA.field(name).type)
          for name in DOC_RELATIONS_SCHEMA.names}

@@ -1,27 +1,24 @@
-"""Fused per-sentence model stage: NER + alias/grouping + SC gate +
+"""Fused per-page model stage: NER + alias/grouping + SC gate +
 pair enumeration/tagging + RE scoring (with reverse ensemble and
-position averaging) in ONE actor pool.
+position averaging), per-document aggregation and entity linking in ONE
+actor pool — the one physical plan of ``build_kg_pipeline``.
 
-Why fuse: the composable stages (stages/ner.py, stages/scoring.py)
-serialize spans/org_groups/aliases (Arrow list<struct>) and tagged
-variant strings between every stage — at 10^12 docs that intermediate
-traffic dwarfs the compute when models are cheap. The fused actor keeps
-all per-sentence state in-process and emits exactly the columns the
-per-document aggregation shuffle needs (one row per PAIR, scores
-already position-averaged — R4 is local by construction because a
-pair's variants are produced together).
+Why fuse: the composable stages (stages/ner.py, stages/scoring.py,
+stages/doc_agg.py, stages/link.py) would serialize spans/org_groups/
+aliases (Arrow list<struct>) and tagged variant strings between every
+stage — at 10^12 docs that intermediate traffic dwarfs the compute when
+models are cheap. The fused actor keeps all per-page state in-process:
+the input is one row per document, so every pair of a document is
+produced, position-averaged and aggregated locally.
 
-When the real GPU models land, the fusion point moves: NER and RE run
-on separate GPU pools (different models/batch shapes), and this class
-becomes the CPU-stub fast path. The composable stages remain the
-documented seam; the e2e test proves both paths emit identical triples
-(tests/test_pipeline_e2e.py compares the fused pipeline against the
-stage-composed oracle).
+The composable stages remain the documented seam (real GPU models would
+run NER and RE on separate pools): ``oracle/kg_oracle.py`` composes
+them, and tests/test_pipeline_e2e.py holds this actor's pipeline equal
+to that oracle.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 
 from ..config import DEFAULT_CONFIG, KGConfig
@@ -47,7 +44,10 @@ SCORED_PAIRS_SCHEMA = pa.schema(
 
 
 class SentencePairScorer:
-    """Actor: cleaned sentence rows → position-averaged scored pair rows."""
+    """Per-sentence model state (tagger, RE scorer, tokenizer) and the
+    sentence → position-averaged scored pair rows step that
+    ``PageKGActor`` runs per page (``build_training_data`` reuses its
+    models)."""
 
     def __init__(self, config: KGConfig = DEFAULT_CONFIG, reverse: bool = True):
         from ..functions.tokenizer import StubTokenizer
@@ -108,7 +108,8 @@ class SentencePairScorer:
                 e1, e2 = reps[group_ids[a]], reps[group_ids[b]]
                 variants = entity_annotation(sent, e1, e2, groups, cfg.num_positions)
                 # M8/M10 front half — same gate as the composable
-                # ReScorerActor so both plans drop identical variants
+                # ReScorerActor, so the pipeline and the oracle drop
+                # identical variants
                 texts = []
                 for t in variants:
                     prepared = prepare_for_scoring(
@@ -134,37 +135,15 @@ class SentencePairScorer:
         self.n_dropped_markers += dropped
         return dropped
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = {k: [] for k in SCORED_PAIRS_SCHEMA.names}
-        for url, sent_id, sent in zip(
-            batch["url"].to_pylist(),
-            batch["sent_id"].to_pylist(),
-            batch["sent"].to_pylist(),
-        ):
-            self.score_sentence(url, sent_id, sent, out)
-        return check_schema(
-            pa.table(
-                {
-                    name: pa.array(out[name], type=SCORED_PAIRS_SCHEMA.field(name).type)
-                    for name in SCORED_PAIRS_SCHEMA.names
-                }
-            ),
-            SCORED_PAIRS_SCHEMA,
-            "fused_pair_scorer",
-        )
-
 
 class PageKGActor(SentencePairScorer):
-    """Page-local fast path: (url, html, lang) page rows → per-document
-    verdict rows, with extraction, sentencizing, scoring AND the
-    per-document aggregation all in-process.
+    """Actor: (url, html, lang) page rows → per-document verdict rows,
+    with extraction, sentencizing, scoring, the per-document aggregation
+    and (given ``db_ref``) entity linking all in-process.
 
     Legitimate because the input is ONE ROW PER DOCUMENT — every pair of
-    a document is produced locally, so the groupby(url) shuffle that
-    stages/doc_agg.py implements for sentence-fragmented inputs (e.g.
-    resuming from a persisted sentence table) is a no-op here. The
-    shuffle path stays available via ``build_kg_pipeline(page_local=
-    False)`` and is equivalence-tested against this one.
+    a document is produced locally, so the per-document aggregation
+    needs no groupby(url) exchange.
     """
 
     def __init__(

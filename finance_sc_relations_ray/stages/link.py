@@ -8,7 +8,7 @@ src/sagemaker/re_inference.py:128-138).
 
 Ray-Data-first design: the company DB is SMALL relative to the stream,
 so instead of a shuffle join the DB is broadcast once via ``ray.put``
-and each link actor builds a per-prefix index in ``__init__``
+and each linking actor builds a per-prefix index in ``__init__``
 (SURVEY.md §2.5 J2 — broadcast side + lookup inside map_batches; a
 hash-partitioned groupby(prefix) join is the fallback for a DB too big
 to broadcast and is what stages/shuffle.py's salted machinery would
@@ -19,16 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import ray
 
-from ..config import DEFAULT_CONFIG, KGConfig
+from ..config import KGConfig
 from ..functions.names import encode_name, encode_names, prefix_key
-
-LINKED_EXTRA = [
-    ("entity_id", pa.string()),
-    ("entity_name_db", pa.string()),
-    ("candidate_ids", pa.list_(pa.string())),
-]
 
 
 class PrefixIndex:
@@ -90,8 +83,8 @@ class PrefixIndex:
 
 
 class Linker:
-    """Cached prefix-index linker shared by the standalone LinkActor and
-    the inline page-local path."""
+    """Cached prefix-index linker: runs inline in ``PageKGActor``,
+    ``alias_items_dataset``'s link actor and ``oracle/kg_oracle.py``."""
 
     def __init__(self, db_table: pa.Table, config: KGConfig):
         self.index = PrefixIndex(db_table, config.prefix_len)
@@ -129,16 +122,3 @@ class Linker:
             )
             .append_column("reporter_id", pa.array(rep_ids, type=pa.string()))
         )
-
-
-class LinkActor:
-    """Actor-pool linker: adds entity_id / entity_name_db /
-    candidate_ids for the ``company`` column (and ``reporter_id`` for
-    the reporter)."""
-
-    def __init__(self, db_ref, config: KGConfig = DEFAULT_CONFIG):
-        db_table = ray.get(db_ref) if not isinstance(db_ref, pa.Table) else db_ref
-        self.linker = Linker(db_table, config)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return self.linker.link_batch(batch)

@@ -192,7 +192,7 @@ def prepare_for_scoring(
 ) -> str | None:
     """Shared M8+M10 front half for every scoring path (composable
     ReScorerActor and fused SentencePairScorer — both must drop the
-    SAME variants for the plan-equivalence guarantee):
+    SAME variants for the pipeline to equal the oracle):
     optional org pseudonymization (mutate_sent, reference re_dataset
     mutate=True), then marker-survival check after stub tokenization +
     truncation. Returns the text to score, or None → drop + count.

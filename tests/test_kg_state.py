@@ -156,17 +156,32 @@ def test_delta_chain_in_place_equals_oracle(crawls, base_state):
     pd.testing.assert_frame_equal(_normalized(got), _normalized(exp))
 
 
-def test_empty_delta_keeps_state_byte_identical(crawls, base_state):
-    # a delta with no triples (every page non-English) merges to the
-    # base state: every shard and _meta.parquet carried over unchanged
+def _no_triple_delta(kind):
     pages = generate_pages(list(range(600, 605)))
-    pages = pages.set_column(
-        pages.schema.get_field_index("lang"), "lang",
-        pa.array(["de"] * pages.num_rows, pa.string()),
+    if kind == "non_english":
+        # no rows at all come out of the pipeline
+        col, values = "lang", ["de"] * pages.num_rows
+    else:
+        # every page is a poison page (tests/test_quarantine.py html):
+        # the pipeline emits only _error meta rows, which the merge's
+        # per-batch combiner filters out of non-empty batches
+        col = "html"
+        values = [
+            b"<html><body><p>\xff\xfe broken utf8</p></body></html>"
+        ] * pages.num_rows
+    return pages.set_column(
+        pages.schema.get_field_index(col), col,
+        pa.array(values, pages.schema.field(col).type),
     )
-    empty = str(crawls["dir"] / "delta_de.parquet")
-    pq.write_table(pages, empty)
-    upd = str(crawls["dir"] / "state_empty_delta")
+
+
+@pytest.mark.parametrize("kind", ["non_english", "all_dead_letter"])
+def test_empty_delta_keeps_state_byte_identical(crawls, base_state, kind):
+    # a delta with no triples merges to the base state: every shard and
+    # _meta.parquet carried over unchanged
+    empty = str(crawls["dir"] / f"delta_{kind}.parquet")
+    pq.write_table(_no_triple_delta(kind), empty)
+    upd = str(crawls["dir"] / f"state_empty_delta_{kind}")
     K.update_kg_state(base_state, empty, upd)
 
     pd.testing.assert_frame_equal(

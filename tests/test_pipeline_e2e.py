@@ -18,7 +18,7 @@ def pages_path(tmp_path_factory):
 
 
 def test_kg_pipeline_matches_oracle(pages_path):
-    ds = build_kg_pipeline(pages_path, num_partitions=4)
+    ds = build_kg_pipeline(pages_path)
     got = (
         ds.to_pandas()
         .astype({"score": "float64"})
