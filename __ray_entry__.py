@@ -8,7 +8,7 @@ nothing here (nor in the library) calls ``ray.init``/``ray.shutdown``.
   no pages table; synthesis is seeded per doc_id — FIXTURES.md §1).
 - ``queries()``: one entry per implemented operator family from
   SURVEY.md §2 (+ the training-data operators: dedup, similarity
-  search, text analysis, multimodal plumbing).
+  search, text analysis).
 - ``oracle_sql()``: DuckDB-equivalent SQL for every SQL-expressible
   query, with matching column names and rounding. KG-pipeline and
   sketch-based operators (MinHash/SimHash/LSH) are non-SQL-expressible
@@ -44,22 +44,16 @@ def entry() -> Any:
 
 # --------------------------------------------------------------------- #
 def queries() -> dict[str, Callable[[str], Any]]:
-    from finance_sc_relations_ray.pipelines import bpe as B
     from finance_sc_relations_ray.pipelines import graph as G
     from finance_sc_relations_ray.pipelines import kg_state as KS
     from finance_sc_relations_ray.pipelines import linkgraph as LG
     from finance_sc_relations_ray.pipelines import mlops as M
     from finance_sc_relations_ray.pipelines import relational as R
-    from finance_sc_relations_ray.pipelines import retrieval as RT
     from finance_sc_relations_ray.pipelines import similarity as S
     from finance_sc_relations_ray.pipelines import kg as KGC
     from finance_sc_relations_ray.pipelines import text as T
     from finance_sc_relations_ray.pipelines import web as W
     from finance_sc_relations_ray.pipelines.kg import build_kg_pipeline
-    from finance_sc_relations_ray.stages.multimodal import (
-        DecodeStubActor,
-        binary_meta_batch,
-    )
 
     def kg_triples(sf_dir: str):
         return build_kg_pipeline(_pages(sf_dir))
@@ -83,72 +77,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         from finance_sc_relations_ray.pipelines.kg import relation_items_dataset
 
         return relation_items_dataset(_pages(sf_dir))
-
-    def pages_binary_meta(sf_dir: str):
-        import ray.data
-
-        return ray.data.read_parquet(
-            _pages(sf_dir), columns=["url", "html"]
-        ).map_batches(binary_meta_batch, batch_format="pyarrow")
-
-    def pages_byte_features(sf_dir: str):
-        import ray.data
-
-        from finance_sc_relations_ray.stages.multimodal import (
-            byte_features_batch,
-        )
-
-        return ray.data.read_parquet(
-            _pages(sf_dir), columns=["url", "html"]
-        ).map_batches(byte_features_batch, batch_format="pyarrow",
-                      batch_size=64)
-
-    def pages_decode_stub(sf_dir: str):
-        import ray.data
-
-        return ray.data.read_parquet(
-            _pages(sf_dir), columns=["url", "html"]
-        ).map_batches(
-            DecodeStubActor,
-            batch_format="pyarrow",
-            batch_size=64,  # small batches: wide binary rows
-            concurrency=(1, 2),
-            num_cpus=0.5,
-        )
-
-    def pages_resize_stub(sf_dir: str):
-        import ray.data
-
-        from finance_sc_relations_ray.stages.multimodal import (
-            ResizeStubActor,
-        )
-
-        return ray.data.read_parquet(
-            _pages(sf_dir), columns=["url", "html"]
-        ).map_batches(
-            ResizeStubActor,
-            batch_format="pyarrow",
-            batch_size=64,
-            concurrency=(1, 2),
-            num_cpus=0.5,
-        )
-
-    def pages_frame_sample_stub(sf_dir: str):
-        import ray.data
-
-        from finance_sc_relations_ray.stages.multimodal import (
-            FrameSampleStubActor,
-        )
-
-        return ray.data.read_parquet(
-            _pages(sf_dir), columns=["url", "html"]
-        ).map_batches(
-            FrameSampleStubActor,
-            batch_format="pyarrow",
-            batch_size=64,
-            concurrency=(1, 2),
-            num_cpus=0.5,
-        )
 
     # ORDERING CONTRACT: the driver's correctness gate records the
     # FIRST 50 dict entries only (r1=38 rows, r2/r3 = exactly the
@@ -278,15 +206,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "host_hits": lambda sf_dir: LG.host_hits(
             LG.pages_with_links_parquet_for(sf_dir)
         ),
-        # BPE tokenizer training, iteration-1 statistics (the iterative
-        # learn loop is bpe_learn_merges below, pytest-oracled)
-        "bpe_pair_counts": B.bpe_pair_counts,
         # sharded inverted index (posting lists; doc-id shard key
         # bounds every reducer to ~df/n_shards by construction)
         "inverted_index": G.inverted_index,
-        # BM25 ranked retrieval (r4): map-only two-pass, zero
-        # exchanges, integer-folded scoring (pipelines/retrieval.py)
-        "bm25_search": RT.bm25_search,
         # per-domain crawl stats over the synthesized pages: engine
         # parses urls, oracle replays the synthesis formula (web.py)
         "domain_stats": lambda sf_dir: W.domain_stats(_pages(sf_dir)),
@@ -363,34 +285,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "dedup_exact": T.dedup_exact,
         "repetition_stats_documents": T.repetition_stats_documents,
         # exiled stable SQL twins (still DuckDB-checked in pytest).
-        # r4 rotation: customers_without_orders (0-row anti-join —
-        # weakest in-window signal; J5 stays pytest-oracled),
-        # segment_order_stats_bucket_join (result-twin of the in-window
-        # segment_order_stats via another join path) and
-        # sample_documents_consistent (mechanism-twin of the in-window
-        # weighted variant) make room for the three new graph ops.
-        # Late-r4 rotation: subword_token_counts (tokenizer twin of
-        # token_counts), hash_split_documents (split twin of the
-        # stratified variant) and simhash_documents (its CTE is
-        # embedded verbatim in the in-window simhash_dup_pairs oracle)
-        # make room for the three newest ops — freshly-touched code
-        # gets the hard driver signal, long-stable twins keep pytest.
-        # Final-r4 rotation: returned_items_revenue (filter+aggregate
-        # twin of the in-window q1_pricing_summary) makes room for
-        # bpe_pair_counts; fingerprint_documents (its md5 map shape is
-        # the in-window dedup_exact's key step) for inverted_index.
-        # r4 retrieval/web rotation: token_counts (tokenizer parity is
-        # transitively in-window via tfidf/bm25's identical explode +
-        # SQL regex replay), events_user_cumsum (unbounded mechanism-
-        # twin of the in-window events_rolling) and embedding_dup_pairs
-        # (the exact small-scale oracle twin of the in-window LSH path,
-        # pair-exact cross-validated in pytest) make room for
-        # bm25_search, domain_stats and events_rolling.
-        # indexed BM25: the serving-path result-twin of the in-window
-        # bm25_search (same scoring kernel + SQL oracle; pair-exactness
-        # pytest-enforced), reading the persisted postings/norms index
-        # instead of scanning the corpus
-        "bm25_search_indexed": RT.bm25_search_indexed,
+        # Each shares its code path with an in-window query: token
+        # counts with tfidf_top_terms' explode + SQL regex replay,
+        # simhash_documents with the simhash_dup_pairs oracle CTE,
+        # fingerprint_documents with dedup_exact's md5 key step, the
+        # epoch / bucket-join / consistent-sample variants with their
+        # in-window siblings.
         # incremental url-state ingest: the persisted-artifact
         # result-twin of the in-window url_dedup_pages (same SQL
         # oracle) — base state + variant-rows delta through the
@@ -415,20 +315,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "events_range_join_epoch": R.events_range_join_epoch,
         # HLL sketch (approximate, non-SQL)
         "approx_distinct_users": R.approx_distinct_users,
-        # BPE merge learning (non-SQL: each argmax feeds the next
-        # recount; pytest-oracled vs an independent single-process
-        # BPE). 8 merges for the driver's rows-only check — each
-        # iteration is ~pure fixed exchange cost at gate scale
-        "bpe_learn_merges": functools.partial(
-            B.bpe_learn_merges, n_merges=8
-        ),
-        # BPE encode (non-SQL: applies the iteratively-learned merge
-        # list; pytest-oracled vs the single-process replica). The
-        # merge list is broadcast once; encode is map-only with an
-        # actor-resident unique-word cache
-        "bpe_encode_documents": functools.partial(
-            B.bpe_encode_documents, n_merges=8
-        ),
         # iterative embedding ops (non-SQL: Lloyd's iterations; exact
         # integer-quantized fit, pytest-oracled vs a local replica)
         "kmeans_embeddings": M.kmeans_embeddings,
@@ -456,12 +342,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # entity salience over the extracted KG (non-SQL: triples come
         # from the actor-pool pipeline; pytest-oracled replay)
         "kg_entity_pagerank": G.kg_entity_pagerank,
-        # multimodal binary-column plumbing (non-SQL)
-        "pages_binary_meta": pages_binary_meta,
-        "pages_byte_features": pages_byte_features,  # real codec-free features
-        "pages_decode_stub": pages_decode_stub,
-        "pages_resize_stub": pages_resize_stub,
-        "pages_frame_sample_stub": pages_frame_sample_stub,
     }
 
 
@@ -470,9 +350,6 @@ def oracle_sql() -> dict[str, str]:
     ws = _WS.replace("'", "''")
     # MinHash permutation constants (seed 42) embedded as literals so
     # DuckDB reproduces the engine's signatures bit-for-bit
-    from finance_sc_relations_ray.pipelines.retrieval import (
-        bm25_oracle_sql as _bm25_oracle,
-    )
     from finance_sc_relations_ray.pipelines.linkgraph import (
         FRONTIER_NOW as _LG_FRONTIER_NOW,
         HOST_LINK_GRAPH_ORACLE as _LG_ORACLE,
@@ -1375,37 +1252,6 @@ def oracle_sql() -> dict[str, str]:
                               ORDER BY doc_id) AS tfs
             FROM tf GROUP BY term, shard
         """,
-        # BPE iteration-1 statistics: adjacent char pairs over the word
-        # histogram, overlap-counted (generate_series explodes every
-        # position), weighted by word frequency; substr/length are
-        # character-based in both engines. Deterministic top-30 via the
-        # (n DESC, pair) total order shared with the engine.
-        "bpe_pair_counts": r"""
-            WITH words AS (
-                SELECT word, CAST(count(*) AS BIGINT) AS c
-                FROM (
-                    SELECT unnest(regexp_extract_all(lower(text), '\S+'))
-                           AS word
-                    FROM documents
-                )
-                GROUP BY word
-            )
-            SELECT substr(word, i, 2) AS pair, CAST(sum(c) AS BIGINT) AS n
-            FROM words,
-                 unnest(generate_series(1, length(word) - 1)) AS t(i)
-            GROUP BY pair
-            ORDER BY n DESC, pair
-            LIMIT 30
-        """,
-        # BM25 ranked retrieval: the oracle SQL is GENERATED from the
-        # same query tuple and integer-folded coefficients as the
-        # engine (pipelines/retrieval.bm25_oracle_sql), so the two
-        # cannot drift; every compared double is a fixed tree of IEEE
-        # ops on ≤2^53 int64s (see module docstring there)
-        "bm25_search": _bm25_oracle(),
-        # identical oracle by construction: the indexed path must
-        # return the exact same top-k as the corpus-scan path
-        "bm25_search_indexed": _bm25_oracle(),
         # Per-domain crawl stats: the engine parses real urls from the
         # synthesized pages parquet; the oracle independently replays
         # the deterministic synthesis formula from documents

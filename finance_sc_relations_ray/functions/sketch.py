@@ -1,70 +1,9 @@
-"""Misra-Gries heavy-hitters sketch (Misra & Gries 1982; merge rule
-from Agarwal et al., "Mergeable Summaries", PODS 2012).
-
-Guarantee: after summarizing a stream of n items with capacity k, every
-item with true frequency > n/k is present in the sketch, and estimates
-undercount by at most n/k. Sketches MERGE associatively, so each batch
-builds one locally and a small reduce combines them — the sketch-shaped
-aggregation pattern from ray_guide 'Aggregation at scale'. The exact
-heavy-hitter query (`relational.heavy_hitter_tokens`) is the verifier;
-the sketch is the 100 TB path where exact per-token counting is a
-shuffle too far."""
+"""HyperLogLog distinct counting (``relational.approx_distinct_users``):
+each batch builds one sketch locally and a small reduce merges them,
+the sketch-shaped aggregation pattern from ray_guide 'Aggregation at
+scale'."""
 
 from __future__ import annotations
-
-
-class MisraGries:
-    def __init__(self, k: int = 1024):
-        self.k = k
-        self.counts: dict[str, int] = {}
-        self.n = 0
-
-    def add(self, item: str, weight: int = 1) -> None:
-        self.n += weight
-        c = self.counts
-        if item in c:
-            c[item] += weight
-            return
-        # classic MG step, looped until the full weight is absorbed: a
-        # weighted add either lands in a free slot or decrements every
-        # counter by min(remaining, min_count); dropped zeros free a
-        # slot for the residual, preserving the ≤ n/k undercount bound
-        # even for weight ≫ 1.
-        while weight > 0:
-            if len(c) < self.k - 1:
-                c[item] = weight
-                return
-            dec = min(weight, min(c.values()))
-            for key in list(c.keys()):
-                c[key] -= dec
-                if c[key] <= 0:
-                    del c[key]
-            weight -= dec
-
-    def merge(self, other: "MisraGries") -> "MisraGries":
-        out = MisraGries(self.k)
-        out.n = self.n + other.n
-        merged = dict(self.counts)
-        for item, cnt in other.counts.items():
-            merged[item] = merged.get(item, 0) + cnt
-        if len(merged) >= out.k:
-            # keep top k-1 by count, subtracting the k-th largest
-            # (mergeable-summaries reduction)
-            ordered = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))
-            cut = ordered[out.k - 1][1] if len(ordered) >= out.k else 0
-            merged = {
-                item: cnt - cut
-                for item, cnt in ordered[: out.k - 1]
-                if cnt - cut > 0
-            }
-        out.counts = merged
-        return out
-
-    def candidates(self, min_fraction: float) -> list[str]:
-        """Items that MAY exceed ``min_fraction`` of the stream — a
-        SUPERSET of the true heavy hitters when k > 1/min_fraction."""
-        floor = self.n * min_fraction - self.n / self.k
-        return sorted(i for i, c in self.counts.items() if c >= floor)
 
 
 class HyperLogLog:

@@ -22,7 +22,6 @@ _SENT_RE = re.compile(r"[^.!?]+[.!?]*")
 # non-ASCII whitespace (U+00A0 is a TOKEN character in both). Case
 # mapping still uses str.lower(); parity is documented ASCII-only.
 _TOKEN_RE = re.compile(r"[^ \t\n\f\r]+")
-_PUNCT_CLASS_RE = re.compile(r"[.,;:!?]")
 
 # Tiny per-language stopword alternations (word-boundary, lowercase).
 LANG_PATTERNS: dict[str, str] = {
@@ -30,7 +29,6 @@ LANG_PATTERNS: dict[str, str] = {
     "de": r"\b(der|die|das|und|ist|nicht|ein|mit|auf)\b",
     "fr": r"\b(le|la|les|et|est|une|pour|dans|que)\b",
 }
-_LANG_RES = {k: re.compile(v) for k, v in LANG_PATTERNS.items()}
 
 
 def sentencize(text: str) -> list[str]:
@@ -52,37 +50,6 @@ def token_count(text: str) -> int:
 # inside the negated class is unicode-aware while RE2's is ASCII-only,
 # so e.g. U+00A0 tokenizes differently.
 BPE_PATTERN = r"'s|'t|'re|'ve|'m|'ll|'d| ?[A-Za-z]+| ?[0-9]+| ?[^\sA-Za-z0-9]+"
-
-
-def quality_metrics(text: str) -> dict[str, float]:
-    """Simple quality signals: char/token counts, mean token length,
-    punctuation ratio."""
-    n_chars = len(text)
-    tokens = _TOKEN_RE.findall(text)
-    n_tokens = len(tokens)
-    n_punct = len(_PUNCT_CLASS_RE.findall(text))
-    return {
-        "n_chars": n_chars,
-        "n_tokens": n_tokens,
-        "mean_token_len": round(sum(map(len, tokens)) / n_tokens, 6) if n_tokens else 0.0,
-        "punct_ratio": round(n_punct / n_chars, 6) if n_chars else 0.0,
-    }
-
-
-def lang_scores(text: str) -> dict[str, int]:
-    low = text.lower()
-    return {k: len(r.findall(low)) for k, r in _LANG_RES.items()}
-
-
-def lang_id(text: str) -> str:
-    """Stopword-count argmax over {en, de, fr}; ties favor the order
-    en > de > fr; all-zero → 'und' (undetermined)."""
-    scores = lang_scores(text)
-    best_lang, best = "und", 0
-    for lang in ("en", "de", "fr"):
-        if scores[lang] > best:
-            best_lang, best = lang, scores[lang]
-    return best_lang
 
 
 def fingerprint(text: str) -> str:

@@ -137,8 +137,7 @@ def update_kg_state(
     Data execution (module docstring). Overlapping triples between
     base and delta MERGE (recrawled or re-reported relations bump
     n_mentions, advance score max, extend evidence) — that is the
-    operator's purpose, mirroring update_url_state; contrast
-    update_bm25_index, where base∩delta doc overlap raises.
+    operator's purpose, mirroring update_url_state.
     ``out_dir`` may be ``state_dir``."""
     import pyarrow.compute as pc
 
@@ -274,7 +273,7 @@ def kg_delta_pages_parquet_for(sf_dir: str) -> str:
 def kg_state_update(sf_dir: str) -> pd.DataFrame:
     """Driver-gate shim (rows-only; non-SQL — actor-pipeline triples):
     build the persisted triple store from the base pages (cached, like
-    the bm25 index and url state), merge the delta-crawl fixture
+    the url state), merge the delta-crawl fixture
     through the shard-pruned path, read the merged state back.
     Equality with a from-scratch rebuild and with the one-shot
     pipeline over the concatenated crawls is pytest-enforced."""

@@ -760,7 +760,7 @@ def pages_links_split_parquet_for(sf_dir: str) -> tuple[str, str]:
 
 def host_pagerank_state(sf_dir: str) -> pd.DataFrame:
     """Driver-gate shim for the INCREMENTAL rank path (the
-    url_state_update / bm25_search_indexed idiom — same SQL oracle as
+    url_state_update idiom — same SQL oracle as
     the one-shot twin): build the persisted rank state from the BASE
     link crawl (cached), merge the delta rows through
     :func:`update_rank_state` (shard-pruned), read the refreshed ranks

@@ -804,9 +804,7 @@ def minhash_dup_pairs(
 def heavy_hitter_tokens(sf_dir: str, min_fraction: float = 0.005) -> pd.DataFrame:
     """Exact heavy-hitter tokens: words occurring in ≥ min_fraction of
     all token occurrences. Two-phase: per-batch Counter partials →
-    groupby sum → filter against the (tiny) broadcast total. The
-    Misra-Gries sketch (functions/sketch.py) is the approximate scale
-    path, cross-validated in tests/test_sketch.py."""
+    groupby sum → filter against the (tiny) broadcast total."""
     from ray.data.aggregate import Sum as _Sum
 
     def partial(batch: pa.Table) -> pa.Table:

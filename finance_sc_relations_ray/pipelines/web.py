@@ -322,9 +322,7 @@ def pages_with_url_variants_parquet_for(sf_dir: str) -> str:
 # The production shape of url dedup at crawl scale: snapshots arrive
 # incrementally, so the canonical-url state (url → n_dups, last_ts) is
 # a PERSISTED sharded artifact that each new crawl delta merges into —
-# never a whole-corpus re-dedup. Lifecycle mirrors the retrieval
-# artifact (retrieval.build_bm25_index / update_bm25_index), with one
-# deliberate semantic difference: base∩delta url overlap is THE POINT
+# never a whole-corpus re-dedup. Base∩delta url overlap is THE POINT
 # here (a recrawl merges: Sum n_dups, Max last_ts), not an error.
 
 
@@ -422,8 +420,7 @@ def update_url_state(
     associative and commutative, so state ∪ delta-partials folds to
     the same rows as one global pass. Overlapping urls between base
     and delta MERGE (that is the operator's purpose — recrawls bump
-    n_dups and advance last_ts); contrast update_bm25_index, where
-    overlap raises."""
+    n_dups and advance last_ts)."""
     import shutil
 
     import ray.data
@@ -528,9 +525,8 @@ def read_url_state(state_dir: str) -> pd.DataFrame:
 
 def url_state_update(sf_dir: str) -> pd.DataFrame:
     """Driver-gate shim: the INCREMENTAL path's result-twin of
-    :func:`url_dedup_pages` (same SQL oracle — the
-    bm25_search_indexed precedent). Builds the persisted state from
-    the BASE pages (cached like the bm25 index), merges the planted
+    :func:`url_dedup_pages` (same SQL oracle). Builds the persisted
+    state from the BASE pages (cached), merges the planted
     variant rows as a crawl delta through :func:`update_url_state`
     (shard-pruned: only the delta's shards are read), and reads the
     merged state back. Row-identical to the one-shot fold over the

@@ -20,11 +20,6 @@ from ..functions.textops import sentencize
 
 _P_RE = re.compile(rb"<p>(.*?)</p>", re.DOTALL)
 
-SENTENCES_SCHEMA = pa.schema(
-    [("url", pa.string()), ("sent_id", pa.int64()), ("sent", pa.string())]
-)
-
-
 def extract_text(html: bytes) -> str:
     """Boilerplate-stripped page text: the <p>-block contents joined by a
     single space (nav/header/footer dropped). Deterministic; no parser

@@ -4,7 +4,7 @@ join primitive.
 ``bucket_lookup_join(left, right, ...)`` attaches columns of ``right``
 to the rows of ``left`` that match on a key, WITHOUT materializing
 either side on the driver and WITHOUT broadcasting: both sides are
-hash-bucketed on the key (``crc32(str(key)) % num_buckets``), unioned,
+hash-bucketed on the key (``_bucket_np``), unioned,
 and a single ``groupby(bucket).map_groups`` builds a per-bucket dict
 from the right rows and maps the left rows through it.
 
@@ -26,8 +26,6 @@ the candidate-text fetch of the MinHash verify stage.
 """
 
 from __future__ import annotations
-
-import zlib
 
 import pyarrow as pa
 from pandas import isna as pd_isna
@@ -53,10 +51,6 @@ _SIDE = "__jside"
 NO_FUSE_NUM_CPUS = 0.99
 
 
-def _bucket_of(val, num_buckets: int) -> int:
-    return zlib.crc32(str(val).encode("utf-8")) % num_buckets
-
-
 def _bucket_np(col, num_buckets: int):
     """Vectorized within-job bucket routing for a key COLUMN (r5: the
     per-row crc32-of-str loop cost ~80-120 ms per 200k rows on every
@@ -64,10 +58,16 @@ def _bucket_np(col, num_buckets: int):
     across batches and worker processes (pandas' fixed default hash
     key — the salted_dedup add_bucket rationale); within one join all
     sides route through THIS function, which is the only consistency
-    bucketing needs."""
+    bucketing needs. Integer keys are hashed as int64 (nulls as 0):
+    pandas hashes a negative value differently per width, and an
+    integer column with nulls as float, so equal keys of an int32 and
+    an int64 side would otherwise route to different buckets."""
     import numpy as np
     import pandas as pd
+    import pyarrow.compute as pc
 
+    if pa.types.is_integer(col.type):
+        col = pc.fill_null(col.cast(pa.int64(), safe=False), 0)
     return (
         pd.util.hash_pandas_object(col.to_pandas(), index=False).to_numpy()
         % num_buckets

@@ -32,10 +32,6 @@ TASKS = {
     "NER": "ner_backend",
     "RE": "re_backend",
 }
-#: tasks the registry tracks but whose backend is currently selected
-#: by code (kept so promotions are recorded with the same contract)
-TRACKED_ONLY = ("Supply-Chain-Classifier", "Encoder")
-
 _DEFAULTS = {
     "NER": "gazetteer",
     "RE": "rule",

@@ -9,20 +9,12 @@ partition carrying its lineage metrics (n_pages, n_files, n_triples,
 n_errors, wall seconds). On resume, completed parts are skipped at the
 READ LAYER (their paths are never passed to read_parquet), and
 partially-written parts are overwritten — same idempotence contract.
-
-``part_of`` (url-hash partitioning) remains for semantic key-based
-partitioning needs (e.g. co-locating a url's rows across runs).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import zlib
-
-
-def part_of(url: str, num_parts: int) -> int:
-    return zlib.crc32(url.encode("utf-8")) % num_parts
 
 
 class Manifest:

@@ -153,3 +153,34 @@ def test_range_variants_equal_bruteforce(ev):
         num_buckets=3,
     ).to_pandas()
     assert _norm(epoch) == exp
+
+
+def test_bucket_lookup_join_mixed_int_key_widths():
+    """Equal keys must meet in one bucket whatever their integer width:
+    an int32 left key joined against an int64 right key keeps every
+    matching row, negative keys included (pandas hashes the same
+    negative value differently as int32 and as int64)."""
+    from finance_sc_relations_ray.stages.joins import bucket_lookup_join
+
+    keys = list(range(-20, 20))
+    left_schema = pa.schema([("k", pa.int32()), ("lid", pa.int64())])
+    left = ray.data.from_arrow(
+        pa.table(
+            {"k": pa.array(keys, pa.int32()),
+             "lid": pa.array(range(len(keys)), pa.int64())}
+        )
+    )
+    right = ray.data.from_arrow(
+        pa.table(
+            {"rk": pa.array(keys, pa.int64()),
+             "v": pa.array([10 * k for k in keys], pa.int64())}
+        )
+    )
+    out = bucket_lookup_join(
+        left, right, on="k", right_key="rk", payload={"v": "v"},
+        left_schema=left_schema, payload_types={"v": pa.int64()},
+        num_buckets=7,
+    ).to_pandas()
+    got = sorted(zip(out["k"].astype("int64"), out["v"].astype("int64")))
+    assert got == [(k, 10 * k) for k in keys]
+

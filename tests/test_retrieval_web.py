@@ -1,6 +1,6 @@
-"""BM25 retrieval, domain stats and the bounded rolling window —
-behavioral tests beyond the DuckDB parity gate (which covers all
-three at sf0.001 in test_queries_vs_duckdb.py)."""
+"""Domain stats, the bounded rolling window and url-canonical dedup —
+behavioral tests beyond the DuckDB parity gate (which covers the
+queries at sf0.001 in test_queries_vs_duckdb.py)."""
 
 import os
 
@@ -11,72 +11,11 @@ import pyarrow.parquet as pq
 import pytest
 
 from finance_sc_relations_ray.pipelines.relational import events_rolling
-from finance_sc_relations_ray.pipelines.retrieval import bm25_search
 from finance_sc_relations_ray.pipelines.web import domain_stats
 
 SF = "/root/testdata/sf0.001"
 
 
-# ------------------------------------------------------------- BM25 ----
-def _mini_corpus(tmp_path, texts):
-    d = tmp_path / "sf"
-    d.mkdir()
-    pq.write_table(
-        pa.table(
-            {
-                "doc_id": pa.array(range(len(texts)), pa.int64()),
-                "text": pa.array(texts, pa.string()),
-            }
-        ),
-        str(d / "documents.parquet"),
-    )
-    return str(d)
-
-
-def test_bm25_ranks_stuffed_doc_first(tmp_path):
-    texts = (
-        ["filler words only nothing relevant here at all"] * 20
-        + ["query vector stream query vector stream query"]
-        + ["one query mention inside a fairly long padding document " * 3]
-    )
-    out = bm25_search(_mini_corpus(tmp_path, texts), k=5)
-    assert out["doc_id"].iloc[0] == 20
-    # only matching docs are returned, scores strictly positive & sorted
-    assert (out["score"] > 0).all()
-    assert list(out["score"]) == sorted(out["score"], reverse=True)
-    assert len(out) == 2  # exactly the two docs containing query terms
-
-
-def test_bm25_length_normalization(tmp_path):
-    # same tf, shorter doc → higher score (the b·dl/avgdl term)
-    texts = [
-        "query short",
-        "query " + "padding " * 50,
-        "unrelated text " * 5,
-    ]
-    out = bm25_search(_mini_corpus(tmp_path, texts), query=("query",), k=3)
-    assert list(out["doc_id"])[:2] == [0, 1]
-    assert out["score"].iloc[0] > out["score"].iloc[1]
-
-
-def test_bm25_no_match_returns_empty(tmp_path):
-    out = bm25_search(
-        _mini_corpus(tmp_path, ["nothing here", "still nothing"]),
-        query=("zzzabsent",),
-    )
-    assert len(out) == 0
-
-
-def test_bm25_exactness_bound_raises(tmp_path, monkeypatch):
-    import finance_sc_relations_ray.pipelines.retrieval as rt
-
-    # force the ≤2^53 guard to trip without a 10^8-token corpus
-    monkeypatch.setattr(rt, "_C_TF", 2**60)
-    with pytest.raises(ValueError, match="exactness bound"):
-        bm25_search(_mini_corpus(tmp_path, ["query text"]))
-
-
-# ----------------------------------------------------- domain stats ----
 def test_domain_stats_unparseable_url_raises(tmp_path):
     p = tmp_path / "pages.parquet"
     pq.write_table(
@@ -141,160 +80,6 @@ def test_events_rolling_matches_bruteforce():
         np.rint(got["roll_max"].to_numpy() * 100.0).astype(np.int64),
         np.array(exp_max),
     )
-
-
-# ------------------------------------------------- indexed BM25 --------
-def test_bm25_indexed_pair_exact_with_scan_path(tmp_path):
-    from finance_sc_relations_ray.pipelines.retrieval import (
-        bm25_search_indexed,
-        build_bm25_index,
-    )
-
-    texts = [
-        "query vector stream engine",
-        "vector vector stream " + "pad " * 30,
-        "no relevant terms at all",
-        "query " * 5,
-    ]
-    sf = _mini_corpus(tmp_path, texts)
-    idx = build_bm25_index(sf, out_dir=str(tmp_path / "idx"))
-    a = bm25_search(sf)
-    b = bm25_search_indexed(sf, index_dir=idx)
-    pd.testing.assert_frame_equal(a, b)
-    # a different query against the SAME cached index, still exact
-    a2 = bm25_search(sf, query=("pad", "engine"), k=2)
-    b2 = bm25_search_indexed(sf, query=("pad", "engine"), k=2, index_dir=idx)
-    pd.testing.assert_frame_equal(a2, b2)
-
-
-def test_bm25_index_build_is_cached_and_atomic(tmp_path):
-    from finance_sc_relations_ray.pipelines.retrieval import build_bm25_index
-
-    sf = _mini_corpus(tmp_path, ["query one", "query two"])
-    out = str(tmp_path / "idx2")
-    p1 = build_bm25_index(sf, out_dir=out)
-    stats = os.path.join(p1, "stats.parquet")
-    mtime = os.path.getmtime(stats)
-    p2 = build_bm25_index(sf, out_dir=out)  # cache hit: no rebuild
-    assert p1 == p2 and os.path.getmtime(stats) == mtime
-    # a half-built directory (no stats.parquet) is NOT trusted
-    import shutil
-
-    os.remove(stats)
-    build_bm25_index(sf, out_dir=out)
-    assert os.path.exists(stats)
-    shutil.rmtree(out)
-
-
-def test_bm25_duplicate_query_terms_pair_exact(tmp_path):
-    # a duplicated term doubles its contribution in the scan path and
-    # the SQL oracle; the indexed path must agree (regression: the
-    # first cut kept only the LAST position's index and zeroed tf_1)
-    from finance_sc_relations_ray.pipelines.retrieval import (
-        bm25_search_indexed,
-        build_bm25_index,
-    )
-
-    texts = [
-        "query query query padding",
-        "query other words here",
-        "nothing relevant",
-        "query vector query stream",
-    ]
-    sf = _mini_corpus(tmp_path, texts)
-    idx = build_bm25_index(sf, out_dir=str(tmp_path / "idxdup"))
-    q = ("query", "query")
-    a = bm25_search(sf, query=q, k=4)
-    b = bm25_search_indexed(sf, query=q, k=4, index_dir=idx)
-    pd.testing.assert_frame_equal(a, b)
-    assert (a["tf_1"] == a["tf_2"]).all()
-    assert a["tf_1"].iloc[0] > 0
-
-
-def test_update_bm25_index_equals_rebuild(tmp_path):
-    from finance_sc_relations_ray.pipelines.retrieval import (
-        bm25_search_indexed,
-        build_bm25_index,
-        update_bm25_index,
-    )
-
-    base_texts = [
-        "query vector stream alpha",
-        "vector beta gamma",
-        "plain filler words",
-    ]
-    delta_texts = ["query query delta stream", "epsilon vector"]
-
-    def corpus(name, texts, start_id):
-        d = tmp_path / name
-        d.mkdir()
-        pq.write_table(
-            pa.table(
-                {
-                    "doc_id": pa.array(
-                        range(start_id, start_id + len(texts)), pa.int64()
-                    ),
-                    "text": pa.array(texts, pa.string()),
-                }
-            ),
-            str(d / "documents.parquet"),
-        )
-        return str(d)
-
-    base = corpus("base", base_texts, 0)
-    delta = corpus("delta", delta_texts, len(base_texts))
-    full = corpus("full", base_texts + delta_texts, 0)
-
-    base_idx = build_bm25_index(base, out_dir=str(tmp_path / "base_idx"))
-    merged = update_bm25_index(
-        base_idx, delta, out_dir=str(tmp_path / "merged_idx")
-    )
-    rebuilt = build_bm25_index(full, out_dir=str(tmp_path / "full_idx"))
-
-    def read_sorted(idx, sub):
-        return (
-            pq.read_table(os.path.join(idx, sub))
-            .to_pandas()
-            .sort_values(["term", "shard"] if sub == "postings" else ["doc_id"])
-            .reset_index(drop=True)
-        )
-
-    pd.testing.assert_frame_equal(
-        read_sorted(merged, "postings"), read_sorted(rebuilt, "postings")
-    )
-    pd.testing.assert_frame_equal(
-        read_sorted(merged, "norms"), read_sorted(rebuilt, "norms")
-    )
-    assert pq.read_table(os.path.join(merged, "stats.parquet")).equals(
-        pq.read_table(os.path.join(rebuilt, "stats.parquet"))
-    )
-    # serving results identical through either index
-    a = bm25_search_indexed(full, index_dir=merged)
-    b = bm25_search_indexed(full, index_dir=rebuilt)
-    pd.testing.assert_frame_equal(a, b)
-    assert len(a) > 0
-
-
-def test_update_bm25_index_rejects_duplicate_ids(tmp_path):
-    from finance_sc_relations_ray.pipelines.retrieval import (
-        build_bm25_index,
-        update_bm25_index,
-    )
-
-    d = tmp_path / "c"
-    d.mkdir()
-    pq.write_table(
-        pa.table(
-            {
-                "doc_id": pa.array([0, 1], pa.int64()),
-                "text": pa.array(["query one", "two"], pa.string()),
-            }
-        ),
-        str(d / "documents.parquet"),
-    )
-    idx = build_bm25_index(str(d), out_dir=str(tmp_path / "i"))
-    with pytest.raises(ValueError, match="already exist"):
-        update_bm25_index(idx, str(d), out_dir=str(tmp_path / "i2"))
 
 
 # ------------------------------------------------ url-canonical dedup ---
