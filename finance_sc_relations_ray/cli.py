@@ -84,8 +84,9 @@ def _pipeline_smoke_main(argv: list[str]) -> int:
     """``cli check-backend --pipeline --tagger m:Cls --scorer m:Cls`` —
     the bring-your-own-weights user's FIRST command (r4 verdict #7):
     contract-checks both backends, then drives the 200-page e2e through
-    the REAL fused actor pipeline with the user classes loading inside
-    each actor's ``__init__`` (the ``module:Class`` registry seam in
+    the REAL fused pipeline with the user classes loaded once per
+    worker process by the page stage's model cache (the
+    ``module:Class`` registry seam in
     stages/ner.make_tagger / stages/scoring.make_scorer), and prints
     triple precision/recall against the stub oracle. P/R == 1.0 means
     the plumbing round-trips; a learned model legitimately diverges —

@@ -52,17 +52,20 @@ class KGConfig:
     # reads positions, not names); flip on when a learned model scores.
     mutate_before_scoring: bool = False
 
-    # execution sizing (autoscaling actor pools (min, max) so a stage
-    # never deadlocks a small cluster nor starves the others; see
-    # SURVEY.md §4)
+    # execution sizing of the actor-pool stages — alias extraction
+    # (ner_*), its link actor (link_*) and training data (ner_*) —
+    # as autoscaling pools (min, max), so a stage never deadlocks a
+    # small cluster nor starves the others (SURVEY.md §4). The page
+    # stage of build_kg_pipeline runs as Ray tasks and reads none of
+    # these.
     ner_batch_size: int = 256
     ner_concurrency: tuple[int, int] = (1, 8)
     link_batch_size: int = 4096
     link_concurrency: tuple[int, int] = (1, 2)
-    # fractional CPU per stub actor: keeps the sum of actor-pool minimums
-    # below the node's CPU count so task-pool operators (read, shuffle,
-    # write) are never starved — a real GPU model would set num_gpus
-    # instead and this stays small
+    # fractional CPU per actor of those pools: keeps the sum of
+    # actor-pool minimums below the node's CPU count so task-pool
+    # operators (read, shuffle, write) are never starved — a real GPU
+    # model would set num_gpus instead and this stays small
     actor_num_cpus: float = 0.5
     # NER backend (M2/M2'): "gazetteer" (fixed-list longest match) or
     # "heuristic" (capitalized-run + corp-suffix — recognizes unseen
@@ -72,10 +75,11 @@ class KGConfig:
     # real-model-sized fake, stages/backends.py); a sec-bert forward
     # registers in stages/scoring.make_scorer
     re_backend: str = "rule"
-    # GPU fraction per model actor: 0 on CPU stubs; a real GPU model
-    # sets e.g. 0.25 to pack 4 actors per device (the reference runs
+    # GPU fraction per model worker: 0 on CPU stubs; a real GPU model
+    # sets e.g. 0.25 to pack 4 workers per device (the reference runs
     # NER/RE on GPU instances, spacy_loader.py require_gpu). Plumbed
-    # into every model-stage map_batches via actor_resources().
+    # into the actor pools via actor_resources() and into the page
+    # stage's tasks as num_gpus.
     actor_num_gpus: float = 0.0
     # bench realism: extend the stub gazetteer with this many synthetic
     # entities so the entity space (and therefore the dedup exchange)
@@ -135,16 +139,18 @@ DEFAULT_CONFIG = KGConfig()
 
 
 def scaled_config(num_cpus: int) -> KGConfig:
-    """Size the actor pools to a node's CPU count: the page-model pool
-    (``ner_concurrency``, the heavy stage) to ~80% of the CPUs, the
-    light link pool to a fraction, with fractional CPU reservations keeping
-    headroom for the task-pool stages."""
+    """Size the actor pools to a node's CPU count: the alias-extraction
+    and training-data pools (``ner_concurrency``) to ~80% of the CPUs,
+    the light link pool to a fraction, with fractional CPU reservations
+    keeping headroom for the task-pool stages. The page stage of
+    ``build_kg_pipeline`` runs as Ray tasks, which Ray Data sizes to
+    the cluster itself, so nothing here sizes it."""
     # FIXED pool sizes (an int, not an autoscaling tuple): Ray Data's
     # autoscaling pool ramps up too slowly for short CPU-bound jobs —
     # measured load average stuck at ~5 of 32 cores with (1, 32).
     # Fractional num_cpus (0.5) keeps reservations at half the cores so
     # read/shuffle task operators never starve.
-    # the heavy pool takes ~80% of the cluster's CPUs at EVERY size; the
+    # the ner pool takes ~80% of the cluster's CPUs at EVERY size; the
     # remainder is headroom for the link pool, read tasks and the
     # object store — an oversubscribed pool (pool == all CPUs) measured
     # ~30% slower at 32 CPUs

@@ -49,7 +49,7 @@ _PIECE = 4  # greedy word-piece length
 
 # word → piece-id tuple memo (per worker). Natural-language words
 # repeat massively, and tokenization is ~1/3 of the per-page cost in
-# the fused actor without this (profiled at 300 pages / 400 entities).
+# the fused page stage without this (profiled at 300 pages / 400 entities).
 _WORD_IDS: dict[str, tuple[int, ...]] = {}
 _WORD_IDS_MAX = 500_000
 

@@ -903,7 +903,7 @@ def kg_entity_pagerank(sf_dir: str, iters: int = 8) -> "ray.data.Dataset":
     signal over an extracted KG). Runs the same integer-exact
     :func:`pagerank_edges_ds` core as the SQL-oracled
     :func:`pagerank_lineitem`; this variant is non-SQL (the triples
-    come from the actor-pool extraction pipeline, not a table) and is
+    come from the model-stage extraction pipeline, not a table) and is
     pytest-oracled against a pure-pandas replay of the recurrence on
     the oracle triples (tests/test_graph_ops.py). Returns
     ``(entity, rank_micro)``.

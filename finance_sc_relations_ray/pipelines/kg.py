@@ -3,7 +3,8 @@
 One streaming ``ray.data.Dataset`` lineage, one physical plan:
 
     read_parquet(pages; url,html,lang pruned at the read)
-      → map_batches(PageKGActor, actor pool)       [stateful, page-local]
+      → map_batches(PageKGActor(...), tasks)       [page-local, models
+                                                    cached per process]
           per page: lang filter → extract html→text → sentencize + clean
           → SC gate → NER + alias grouping → pair enumeration + tagging
           → RE scoring → per-document aggregation → entity linking
@@ -13,10 +14,12 @@ One streaming ``ray.data.Dataset`` lineage, one physical plan:
                                                     combiner-first]
 
 The input is one row per document, so every stage up to linking is
-local to a page and runs fused in one actor (stages/fused.py); the
-composable stage classes (stages/ner.py, stages/scoring.py,
-stages/doc_agg.py, stages/link.py) are what ``oracle/kg_oracle.py``
-composes, and tests/test_pipeline_e2e.py holds the pipeline equal to it.
+local to a page and runs fused in one task UDF (stages/fused.py),
+which Ray Data fuses further with ``to_triples`` and the dedup
+combiner. The composable stage classes (stages/ner.py,
+stages/scoring.py, stages/doc_agg.py, stages/link.py) are what
+``oracle/kg_oracle.py`` composes, and tests/test_pipeline_e2e.py holds
+the pipeline equal to it.
 
 Ray is never initialised here (driver / bench / tests own the session).
 """
@@ -75,22 +78,27 @@ def linked_docs_dataset(
     db_ref=None,
 ) -> "ray.data.Dataset":
     """Page rows (url, html, lang; optionally ``__part``) → linked
-    per-document verdict rows, through one ``PageKGActor`` pool. The
-    company DB is broadcast once via ``ray.put`` (pass ``db_ref`` to
-    reuse a ref across executions) and linked inline in each actor."""
+    per-document verdict rows, through one ``PageKGActor`` stage run as
+    Ray tasks. The company DB is broadcast once via ``ray.put`` (pass
+    ``db_ref`` to reuse a ref across executions) and linked inline.
+
+    The stage is a ``PageKGActor`` instance, not the class, so Ray Data
+    runs it on its task pool: task workers keep the models in a
+    per-process cache across executions, and the stage fuses with the
+    stateless maps that follow it. ``num_gpus`` is requested only when
+    ``config.actor_num_gpus`` is set."""
     from ..stages.fused import PageKGActor
 
     if db_ref is None:
         db_ref = ray.put(
             company_db if company_db is not None else company_db_table()
         )
+    gpus = {"num_gpus": config.actor_num_gpus} if config.actor_num_gpus else {}
     return pages.map_batches(
-        PageKGActor,
-        fn_constructor_kwargs={"config": config, "db_ref": db_ref},
+        PageKGActor(config, db_ref=db_ref),
         batch_format="pyarrow",
         batch_size=64,
-        concurrency=config.ner_concurrency,
-        **actor_resources(config),
+        **gpus,
     )
 
 
@@ -335,11 +343,11 @@ def build_kg_pipeline(
     """pages parquet → deduplicated canonical triples Dataset (lazy).
 
     The input is one row per document, so the per-document work is
-    local: one ``PageKGActor`` pool does extract → sentencize → score →
-    doc-aggregate → link, and the only exchange is the combiner-first
-    triple dedup (``dedup=False`` skips it and returns the per-document
-    triple rows, meta rows included). ``read_blocks`` defaults to
-    :func:`default_read_blocks`.
+    local: one ``PageKGActor`` task stage does extract → sentencize →
+    score → doc-aggregate → link, and the only exchange is the
+    combiner-first triple dedup (``dedup=False`` skips it and returns
+    the per-document triple rows, meta rows included). ``read_blocks``
+    defaults to :func:`default_read_blocks`.
     """
     if read_blocks is None:
         read_blocks = default_read_blocks()
@@ -369,7 +377,7 @@ def kg_from_crawl(
     winner rows. At crawl scale this is mandatory ordering: recrawled
     snapshots would otherwise pay NER/RE inference per copy and leak
     stale relations into the triple store; deduping first makes the
-    expensive actor-pool stage see each page exactly once, and the
+    expensive model stage see each page exactly once, and the
     triple witness urls come out CANONICAL.
 
     Triples are exactly ``build_kg_pipeline`` over the winner snapshots

@@ -37,7 +37,7 @@ are pipeline bookkeeping, not knowledge — they are excluded from the
 state (the partitioned runner routes them to ``_dead_letter/``
 instead).
 
-Non-SQL (triples come from the actor-pool extraction pipeline): the
+Non-SQL (triples come from the model-stage extraction pipeline): the
 driver records a rows-only check for ``kg_state_update``; exactness is
 pytest-oracled (tests/test_kg_state.py) against the single-process
 oracle over the concatenated crawls.

@@ -102,10 +102,10 @@ def run_partitioned(
 
     for chunk in chunks:
         # ONE dataset execution per CHUNK of parts, not one per part:
-        # the fused actor pool (model/gazetteer state in __init__) is
-        # spun up once and amortized over parts_per_chunk parts — the
-        # per-part variant paid pool startup + 4 small executions per
-        # part (~8 s of fixed cost each at bench scale). Part identity
+        # Ray Data's fixed cost per execution is amortized over
+        # parts_per_chunk parts — the per-part variant paid an actor
+        # pool startup + 4 small executions per part (~8 s of fixed
+        # cost each at bench scale). Part identity
         # rides the stream as a ``__part`` column derived from the
         # source FILE (read-layer pruning of finished parts is
         # unchanged: only this chunk's files are passed to the read),

@@ -8,9 +8,10 @@ implement the combiner pattern the north rule asks for explicitly:
   to one row per key (a per-batch combiner — this is the "salt": the
   partial key-space is (key × batch), so no single reducer sees more
   than #batches rows per key);
-- a final small ``groupby(keys).map_groups`` merges the partials with
-  the same merge function (the merge is associative + commutative, so
-  combiner-then-merge equals a single global pass).
+- a final bucketed merge (a sort on a key-hash bucket, then one merge
+  per sorted block) merges the partials with the same merge function
+  (the merge is associative + commutative, so combiner-then-merge
+  equals a single global pass).
 
 Merge semantics per key (matching the reference's per-item payload,
 reference src/relation_extraction/reporter.py:39-73 — ``sentenceIds``,
@@ -209,9 +210,9 @@ def salted_dedup(
     """Two-phase exact dedup: per-batch combiner → bucketed final merge.
 
     The final all-to-all only moves one row per (key, batch) — bounded
-    regardless of key skew. The merge groups by ``crc32(key) % B``
-    coarse buckets (NOT per key — per-group overhead is paid per
-    bucket) and merges each bucket with one vectorized pandas
+    regardless of key skew. The exchange sorts on a ``hash(key) % B``
+    coarse bucket (NOT the key itself) and each sorted block, which
+    holds whole buckets, is merged with one vectorized pandas
     aggregation; the merge is associative+commutative, so
     combiner-then-merge equals a single global pass.
 
@@ -242,18 +243,25 @@ def salted_dedup(
         ).astype("int32")
         return batch.append_column("__dbucket", pa.array(hb, pa.int32()))
 
-    def merge(g):
-        return _merge_bucket(g.drop(columns=["__dbucket"]), keys)
+    def merge(block):
+        return _merge_bucket(block.drop(columns=["__dbucket"]), keys)
 
-    # num_cpus blocks downstream-map fusion: a fused map re-bundles the
-    # sorted blocks and the merge fn would see partial groups →
-    # duplicate keys (stages/joins.py NO_FUSE_NUM_CPUS rationale)
-    return partial.map_batches(add_bucket, batch_format="pyarrow").groupby(
-        "__dbucket"
-    ).map_groups(
-        merge,
-        batch_format="pandas",
-        num_cpus=NO_FUSE_NUM_CPUS,
+    # The sort range-partitions on the bucket, so a bucket never spans
+    # blocks and one merge per sorted block (batch_size=None: the whole
+    # block) is exact. This is what ``groupby().map_groups`` compiles
+    # to in Ray 2.49, minus its per-group UDF call. num_cpus blocks
+    # downstream-map fusion: a fused map re-bundles the sorted blocks
+    # and the merge fn would see partial buckets → duplicate keys
+    # (stages/joins.py NO_FUSE_NUM_CPUS rationale).
+    return (
+        partial.map_batches(add_bucket, batch_format="pyarrow")
+        .sort("__dbucket")
+        .map_batches(
+            merge,
+            batch_size=None,
+            batch_format="pandas",
+            num_cpus=NO_FUSE_NUM_CPUS,
+        )
     )
 
 

@@ -10,10 +10,10 @@ retrained model is promoted without touching job code.
 Ray-native equivalent: the same one-file JSON contract on shared
 storage (crash-safe tmp+rename write, like the partitioned sink), plus
 ``bind_config`` which resolves the registry into a ``KGConfig`` so the
-actor pools (``make_tagger`` / ``make_scorer`` seams) pick up the
+model stages (``make_tagger`` / ``make_scorer`` seams) pick up the
 promoted backend at job start. Artifacts resolve ONCE on the driver at
 pipeline build time — workers receive the resolved config through the
-actor constructor, never the registry file, so a mid-run promotion
+stage constructor, never the registry file, so a mid-run promotion
 can't tear a running job.
 """
 

@@ -2,8 +2,9 @@
 tagger / RE scorer / tokenizer / name encoder backend must satisfy the
 documented contract in stages/backends.py, and a deliberately
 HEAVYWEIGHT fake (real-model-sized state + slow init) proves the
-actor-pool guarantees — init exactly once per actor, state resident
-across batches — that a real spaCy/sec-bert swap relies on.
+load-once guarantees — init exactly once per actor in the actor-pool
+stages and once per worker process in the task-run page stage, state
+resident across batches — that a real spaCy/sec-bert swap relies on.
 
 Expectations ported from reference test/test_language_model.py:1-32
 (span/alias coherence on a known multi-org sentence) plus the
@@ -254,3 +255,37 @@ def test_alias_extract_actor_pool_init_once(ray_session):
     assert 1 <= n_inits <= 4, f"suspect per-batch re-init: {n_inits} inits"
     assert len(heavy) > 0  # the planted quote-alias pattern is detected
     pd.testing.assert_frame_equal(heavy, base)
+
+
+def test_page_stage_loads_models_once_per_worker_process(tmp_path):
+    """The page stage runs as Ray tasks whose models come from a
+    per-process cache, so repeated executions in one session reuse the
+    loaded models: five ``build_kg_pipeline`` runs with the heavy fake
+    tagger log at most one load per worker process, bounded by the
+    session's 4 CPUs rather than by the executions (a fresh actor per
+    execution would log at least 5)."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from finance_sc_relations_ray.pipelines.kg import build_kg_pipeline
+    from finance_sc_relations_ray.sources.pages import generate_pages
+
+    path = str(tmp_path / "pages.parquet")
+    pq.write_table(generate_pages(list(range(128))), path, row_group_size=16)
+    cfg = KGConfig(ner_backend="heavy_fake")
+    if os.path.exists(HeavyFakeTagger.INIT_LOG):
+        os.remove(HeavyFakeTagger.INIT_LOG)
+    keys = ["subj", "pred", "obj"]
+    outs = [
+        build_kg_pipeline(path, cfg).to_pandas().sort_values(keys)
+        .reset_index(drop=True)[keys + ["n_mentions"]]
+        for _ in range(5)
+    ]
+    with open(HeavyFakeTagger.INIT_LOG) as fh:
+        pids = fh.read().split()
+    assert len(pids) == len(set(pids)), f"a worker loaded twice: {pids}"
+    assert 1 <= len(pids) <= 4, f"loads scale with executions: {pids}"
+    assert len(outs[0]) > 0
+    for out in outs[1:]:
+        pd.testing.assert_frame_equal(out, outs[0])

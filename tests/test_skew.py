@@ -7,6 +7,7 @@ import datetime
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 from finance_sc_relations_ray.pipelines.kg import build_kg_pipeline
 from finance_sc_relations_ray.stages.shuffle import (
@@ -82,3 +83,47 @@ def test_salted_dedup_hot_key_distributed():
     hot = out[out["subj"] == "A"].iloc[0]
     assert hot["n_mentions"] == 50_000
     assert abs(hot["score"] - 0.59) < 1e-6  # max over the hot key
+
+
+@pytest.mark.parametrize("num_buckets", [1, 7, 64])
+def test_salted_dedup_equals_one_merge_pass(num_buckets):
+    """The bucketed merge runs once per sorted block, so a block holds
+    many whole buckets (all of them at ``num_buckets=1``). Over a skewed
+    input in 12 blocks (one hot key carries half the rows) the result
+    must equal one ``_merge_frame`` pass over the whole input."""
+    import ray.data
+
+    from finance_sc_relations_ray.stages.shuffle import _merge_frame
+
+    keys = ["subj", "pred", "obj"]
+    n = 6000
+    table = pa.table(
+        {
+            "subj": ["Hub" if i % 2 else f"S{i % 97}" for i in range(n)],
+            "pred": ["supplies_to"] * n,
+            "obj": ["Sink" if i % 2 else f"O{i % 13}" for i in range(n)],
+            "score": pa.array([(i * 37 % 101) / 101 for i in range(n)],
+                              pa.float32()),
+            "subj_id": [None if i % 5 == 0 else f"id{i % 31}"
+                        for i in range(n)],
+            "obj_id": [None] * n,
+            "url": [f"u{i * 7919 % 1000}" for i in range(n)],
+            "sentence_ids": pa.array(
+                [[i % 90, i * 3 % 101] for i in range(n)], pa.list_(pa.int64())
+            ),
+        }
+    )
+    ds = ray.data.from_arrow(table).repartition(12)
+    got = salted_dedup(ds, keys, num_buckets=num_buckets).to_pandas()
+    exp = _merge_frame(table.to_pandas(), keys)
+    got = got.sort_values(keys).reset_index(drop=True)
+    exp = exp.sort_values(keys).reset_index(drop=True)
+    assert sorted(got.columns) == sorted(exp.columns)
+    assert len(got) == len(exp) == 1 + 97 * 13  # the hub + every (S, O)
+    assert exp["n_mentions"].max() == n // 2  # the hot key
+    for col in exp.columns:
+        if col == "sentence_ids":
+            assert [list(x) for x in got[col]] == \
+                [list(x) for x in exp[col]], col
+        else:
+            assert got[col].tolist() == exp[col].tolist(), col
