@@ -4,9 +4,14 @@ over a chain of merges, the single-process oracle (fold associativity,
 incl. the sentence_ids bottom-64 cap), untouched shards must be carried
 forward at file level (byte-identical — never read or re-folded),
 overlapping triples must MERGE, meta rows must never enter the state,
-and empty deltas and empty stores must merge without raising."""
+and empty deltas and empty stores must merge without raising. Runs
+stay byte-identical until a compaction replaces them, compaction
+leaves the state unchanged, commit records carry the merge's numbers,
+stores written before the commit log still read and merge, and the
+persisted shard routing is pinned."""
 
 import os
+import shutil
 
 import pandas as pd
 import pyarrow as pa
@@ -215,3 +220,159 @@ def test_empty_store_reads_empty_and_merges(crawls):
     merged = K.read_kg_state(upd)
     assert len(merged) > 0
     pd.testing.assert_frame_equal(merged, K.read_kg_state(reb))
+
+
+def test_triple_shard_routing_is_pinned():
+    # stores on disk route by this function: literal keys pin it, and
+    # the per-row md5 loop it replaced stays the reference
+    import hashlib
+
+    keys = pd.DataFrame(
+        [
+            ("Apple Inc.", "supplies_to", "Foxconn"),
+            ("Foxconn", "customer_of", "Apple Inc."),
+            ("Raytheon Technologies", "supplies_to",
+             "Synthco 000111 Industries"),
+            ("", "", ""),
+            ("Ünïcode GmbH", "supplies_to", "Apple Inc."),
+            ("Apple Inc.", "supplies_to", "Foxconn"),
+        ],
+        columns=K.STATE_KEYS,
+    )
+    assert K._triple_shards(keys, 16).tolist() == [6, 14, 9, 5, 15, 6]
+    assert K._triple_shards(keys, 7).tolist() == [2, 0, 6, 2, 0, 2]
+    assert K._triple_shards(keys.iloc[:0], 16).tolist() == []
+
+    many = pd.concat([keys] * 3 + [
+        pd.DataFrame({"subj": [f"s{i % 37}" for i in range(200)],
+                      "pred": "supplies_to",
+                      "obj": [f"o{i % 11}" for i in range(200)]})
+    ], ignore_index=True)
+    ref = [
+        int(hashlib.md5("\x1f".join(r).encode("utf-8")).hexdigest()[:8], 16)
+        % 16
+        for r in many[K.STATE_KEYS].itertuples(index=False)
+    ]
+    assert K._triple_shards(many, 16).tolist() == ref
+
+
+def test_commit_record_carries_the_merge_numbers(
+    crawls, base_state, monkeypatch
+):
+    # no compaction, so every run the merge added stays live
+    monkeypatch.setattr(K, "MAX_RUNS", 10**6)
+    real = K._move_runs
+
+    def split(store, staging, tag):
+        # as if each shard's rows came from two write tasks (on a large
+        # cluster, dozens): the merge must still add one run per shard
+        for rel in K._shard_file_paths(staging):
+            path = os.path.join(staging, rel)
+            t = pq.read_table(path, partitioning=None)
+            half = t.num_rows // 2
+            pq.write_table(t.slice(0, half), path)
+            pq.write_table(t.slice(half), path[:-8] + "-b.parquet")
+        return real(store, staging, tag)
+
+    monkeypatch.setattr(K, "_move_runs", split)
+    upd = str(crawls["dir"] / "state_record")
+    K.update_kg_state(base_state, crawls["delta"], upd)
+    rec = K._records(upd)[-1]
+    assert len(rec["adds"]) == len(rec["shards_touched"])
+    reb = str(crawls["dir"] / "state_record_rebuild")
+    K.build_kg_state(crawls["both"], reb)
+    pd.testing.assert_frame_equal(K.read_kg_state(upd), K.read_kg_state(reb))
+    assert rec["kind"] == "merge"
+    delta = crawls["delta"]
+    assert rec["delta"] == {
+        "path": os.path.abspath(delta),
+        "bytes": os.path.getsize(delta),
+        "rows": pq.read_metadata(delta).num_rows,
+    }
+    assert rec["adds"] and rec["removes"] == []
+    for rel, info in rec["adds"].items():
+        path = os.path.join(upd, rel)
+        assert info == {
+            "rows": pq.read_metadata(path).num_rows,
+            "bytes": os.path.getsize(path),
+        }
+        assert rel.startswith("shard=") and "/run-" in rel
+    assert rec["shards_touched"] == sorted(
+        {int(p.split("/")[0][len("shard="):]) for p in rec["adds"]}
+    )
+    assert set(rec["phase_s"]) == {"prepare", "execute", "commit"}
+    # over the whole log, the recorded rows of the live runs are the
+    # rows in the run files
+    live = K._live_runs(upd)
+    recorded = {}
+    for r in K._records(upd):
+        recorded.update(r["adds"])
+    assert sum(recorded[p]["rows"] for p in live) == sum(
+        pq.read_metadata(os.path.join(upd, p)).num_rows for p in live
+    )
+
+
+def _file_bytes(store, rels):
+    out = {}
+    for rel in rels:
+        with open(os.path.join(store, rel), "rb") as fh:
+            out[rel] = fh.read()
+    return out
+
+
+def test_compaction_chain_in_place_equals_oracle(
+    crawls, base_state, monkeypatch
+):
+    # ten 3-5-page deltas merged in place; a lower MAX_RUNS makes the
+    # chain cross it several times
+    monkeypatch.setattr(K, "MAX_RUNS", 3)
+    d = crawls["dir"]
+    state = str(d / "state_compaction_chain")
+    shutil.copytree(base_state, state)
+    ids, start = [], 700
+    seen = _file_bytes(state, K._live_runs(state))
+    for i, n in enumerate([3, 4, 5, 3, 4, 5, 3, 4, 5, 4]):
+        delta = str(d / f"chain_{i}.parquet")
+        pq.write_table(generate_pages(list(range(start, start + n))), delta)
+        ids += list(range(start, start + n))
+        start += n
+        K.update_kg_state(state, delta, state)
+        live = K._live_runs(state)
+        removed = {p for r in K._records(state) if r["kind"] == "compact"
+                   for p in r["removes"]}
+        for rel, blob in seen.items():
+            # a run stays byte-identical until a compaction replaces it
+            assert rel in live or rel in removed
+            if rel in live:
+                assert _file_bytes(state, [rel])[rel] == blob
+        seen.update(_file_bytes(state, [p for p in live if p not in seen]))
+        assert max(map(len, K._runs_by_shard(live).values())) <= K.MAX_RUNS
+    compactions = [r for r in K._records(state) if r["kind"] == "compact"]
+    assert len(compactions) >= 2
+
+    got = K.read_kg_state(state)
+    exp = expected_triples(generate_pages(list(range(120)) + ids))
+    pd.testing.assert_frame_equal(_normalized(got), _normalized(exp))
+
+    assert K.compact_kg_state(state) == state
+    assert all(len(v) == 1 for v in K._runs_by_shard(
+        K._live_runs(state)).values())
+    assert K._shard_file_paths(state) == K._live_runs(state)
+    pd.testing.assert_frame_equal(K.read_kg_state(state), got)
+
+
+def test_store_without_log_reads_every_file_and_merges(crawls, base_state):
+    # a store written before the commit log (no _log/): every shard
+    # file is live, and the first merge adopts them
+    d = crawls["dir"]
+    legacy = str(d / "state_legacy")
+    shutil.copytree(base_state, legacy)
+    shutil.rmtree(os.path.join(legacy, K._LOG))
+    pd.testing.assert_frame_equal(
+        K.read_kg_state(legacy), K.read_kg_state(base_state)
+    )
+    K.update_kg_state(legacy, crawls["delta"], legacy)
+    assert K._records(legacy)[0]["kind"] == "adopt"
+    reb = str(d / "state_rebuild_legacy")
+    K.build_kg_state(crawls["both"], reb)
+    pd.testing.assert_frame_equal(K.read_kg_state(legacy), K.read_kg_state(reb))
