@@ -108,7 +108,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # text / training-data operators over documents
         "clean_documents": T.clean_documents,
         "redact_pii_documents": T.redact_pii_documents,
-        "decontaminate_documents": T.decontaminate_documents,
         "sentencize_documents": T.sentencize_documents,
         "doc_quality": T.doc_quality,
         "lang_id_documents": T.lang_id_documents,
@@ -121,11 +120,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
             T.minhash_dup_pairs, on_degenerate="raise"
         ),
         "dup_clusters": T.dup_clusters,
-        # composed flagship curation pipeline (filter -> exact dedup ->
-        # minhash near-dup clusters -> canonical survivors)
-        "curate_documents": functools.partial(
-            T.curate_documents, on_degenerate="raise"
-        ),
         "unigram_logprob_documents": T.unigram_logprob_documents,
         # SimHash near-dup PAIR MINING (Charikar pigeonhole banding —
         # exact recall at hamming<=k, popcount verify in-bucket; its
@@ -137,17 +131,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # per-lang quantile-gated length filter (two-pass bounded-stats
         # → broadcast-threshold → map-only shape)
         "length_quantile_filter": T.length_quantile_filter,
-        "cap_per_source": T.cap_per_source,
-        # composed pretraining export (r5): curate survivors ->
-        # eval-overlap decontamination -> concat-and-chunk packing,
-        # one oracle composing all three stage CTEs verbatim.
-        # Rotation: pack_token_offsets moves past the cap — its
-        # prefix-sum window runs VERBATIM inside this oracle's tail
-        "pretrain_export": functools.partial(
-            T.pretrain_export, on_degenerate="raise"
-        ),
-        "resample_by_source": T.resample_by_source,
-        "dsir_importance": T.dsir_importance_documents,
         # training-data prep operators
         "segment_class_weights": M.segment_class_weights,
         # fixed-bin histogram quantile sketch (approximate for the true
@@ -178,9 +161,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         ),
         # anchor-TEXT mining: the off-page entity-alias signal; the
         # fixture plants gazetteer names as anchor text, the oracle
-        # replays host AND entity formulas (pool names as literals).
-        # Rotation: dedup_exact moves past the cap — its combiner core
-        # runs verbatim inside the in-window curate_documents oracle
+        # replays host AND entity formulas (pool names as literals)
         "anchor_entity_mentions": lambda sf_dir: LG.anchor_entity_mentions(
             LG.pages_with_links_parquet_for(sf_dir)
         ),
@@ -200,9 +181,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         ),
         # HITS hubs & authorities: integer-exact alternating half-steps
         # with a FIXED deg_max·scale normalizer; oracle replays formula
-        # and recurrence bit-for-bit. Rotation: repetition_stats moves
-        # past the cap (map-only stat-replay twin of the in-window
-        # doc_quality / sentencize pair)
+        # and recurrence bit-for-bit
         "host_hits": lambda sf_dir: LG.host_hits(
             LG.pages_with_links_parquet_for(sf_dir)
         ),
@@ -226,64 +205,34 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # alias detection/filtering/LINKING under the hard hash signal
         # (r5, r4 verdict #4): formula-planted alias-pattern pages —
         # the oracle replays the plant with the frozen pair pool and
-        # each pair's company-DB rgid as literals (pipelines/kg.py).
-        # Rotation: ngram_jaccard_pairs moves past the cap — its
-        # toks/shingle/inter/prs pair CTE is embedded VERBATIM in the
-        # in-window dup_clusters oracle
+        # each pair's company-DB rgid as literals (pipelines/kg.py)
         "alias_items_planted": KGC.alias_items_planted,
         # incremental rank state (r5, r4 verdict #2-missing): base
         # link-crawl state + delta through the shard-pruned edge merge
         # and rank refresh — same recursive-CTE oracle as the one-shot
-        # host_pagerank (update == rebuild by edge-fold associativity).
-        # Rotation: heavy_hitter_tokens moves past the cap — its
-        # token-unnest count core runs verbatim inside the in-window
-        # unigram_logprob_documents oracle
+        # host_pagerank (update == rebuild by edge-fold associativity)
         "host_pagerank_state": LG.host_pagerank_state,
-        # ---------------- driver-cap boundary (entry #50) ----------------
-        # r5 rotations: ngram_jaccard_pairs (pair CTE verbatim inside
-        # the in-window dup_clusters oracle) and heavy_hitter_tokens
-        # (token-count core verbatim inside the in-window
-        # unigram_logprob_documents oracle) make room for the alias
-        # plant and the rank state; both stay DuckDB-checked in
-        # tests/test_queries_vs_duckdb.py each session.
         "ngram_jaccard_pairs": T.ngram_jaccard_pairs,
         "heavy_hitter_tokens": T.heavy_hitter_tokens,
-        # r5 rotation for pretrain_export: the pack window is embedded
-        # verbatim in the in-window pretrain_export oracle
-        "pack_token_offsets": T.pack_token_offsets,
         # FULL delta-cost frontier (r5): staleness from the persisted
         # url state, importance from the persisted rank state — zero
         # corpus scans at schedule time; auto-now (max warc_ts +
-        # offset) exercised under the pytest SQL oracle. Past-cap: the
-        # frontier mechanism keeps its in-window signal via
-        # crawl_frontier, and the two state artifacts via
-        # host_pagerank_state / url_state_update.
+        # offset) exercised under the pytest SQL oracle
         "crawl_frontier_stateful": LG.crawl_frontier_stateful,
-        # link-graph rotation (latest r4): the three planted-anchor
-        # graph queries take the window; exiled twins —
-        # pagerank_lineitem (identical pagerank_edges_ds core AND
-        # identical recursive-CTE oracle shape as the in-window
-        # host_pagerank), events_sliding (windowed-aggregate twin of
-        # the in-window events_hourly/events_rolling pair) and
-        # gopher_quality_documents (map-only stat twin of the
-        # in-window doc_quality/repetition_stats pair)
+        # pagerank_lineitem shares the pagerank_edges_ds core and the
+        # recursive-CTE oracle shape of host_pagerank
         "pagerank_lineitem": G.pagerank_lineitem,
-        # late-r4 frontier rotation: host_pagerank moves past the cap —
-        # crawl_frontier's oracle embeds its recursive CTE verbatim, so
-        # the rank recurrence keeps the hard driver signal in-window
         "host_pagerank": lambda sf_dir: LG.host_pagerank(
             LG.pages_with_links_parquet_for(sf_dir)
         ),
-        # politeness-capped frontier (past-cap result-twin of the
-        # in-window crawl_frontier: same ranked set through a per-host
-        # row_number window; SQL-oracled in pytest each session)
+        # politeness-capped frontier (result-twin of crawl_frontier:
+        # same ranked set through a per-host row_number window)
         "crawl_frontier_capped": lambda sf_dir: LG.crawl_frontier(
             LG.pages_with_links_parquet_for(sf_dir), per_host_cap=3
         ),
         "events_sliding": R.events_sliding,
-        "gopher_quality_documents": T.gopher_quality_documents,
         "dedup_exact": T.dedup_exact,
-        "repetition_stats_documents": T.repetition_stats_documents,
+        # ---------------- end of the first-50 window (entry #50) -------------
         # exiled stable SQL twins (still DuckDB-checked in pytest).
         # Each shares its code path with an in-window query: token
         # counts with tfidf_top_terms' explode + SQL regex replay,
@@ -374,157 +323,6 @@ def oracle_sql() -> dict[str, str]:
         f"({i}, {int(mh_a[i])}::HUGEINT, {int(mh_b[i])}::HUGEINT)"
         for i in range(64)
     )
-    _curate_ctes = rf"""
-            WITH RECURSIVE perms AS (
-                SELECT * FROM (VALUES {mh_perms}) p(i, pa, pb)
-            ), eligible AS (
-                SELECT doc_id, text,
-                       len(regexp_extract_all(text, '\S+')) AS n_words
-                FROM documents
-                WHERE lang = 'en'
-                  AND len(regexp_extract_all(text, '\S+')) >= 20
-                  AND (CASE WHEN length(text) > 0
-                       THEN len(regexp_extract_all(text, '[.,;:!?]'))
-                            / length(text)::DOUBLE
-                       ELSE 0.0 END) <= 0.05
-            ), winners AS (
-                SELECT e.doc_id, e.text, e.n_words
-                FROM eligible e
-                JOIN (SELECT min(doc_id) AS doc_id
-                      FROM eligible GROUP BY md5(text)) w
-                  ON w.doc_id = e.doc_id
-            ), toks AS (
-                SELECT doc_id, regexp_extract_all(lower(text), '\S+') AS t
-                FROM winners
-            ), sh AS (
-                SELECT doc_id,
-                    list_distinct(
-                        CASE WHEN len(t) >= 3
-                             THEN list_transform(range(1, len(t) - 1),
-                                                 i -> array_to_string(t[i:i+2], ' '))
-                             WHEN len(t) > 0 THEN [array_to_string(t, ' ')]
-                             ELSE [] END
-                    ) AS s
-                FROM toks
-            ), eh AS (
-                SELECT DISTINCT doc_id,
-                       ('0x' || substr(md5(g), 1, 16))::UBIGINT::HUGEINT AS h
-                FROM (SELECT doc_id, unnest(s) AS g FROM sh)
-            ), sig AS (
-                SELECT d.doc_id, p.i,
-                       coalesce(min(((p.pa * e.h) % 18446744073709551616::HUGEINT
-                                     + p.pb) % 18446744073709551616::HUGEINT
-                                    % 2305843009213693951),
-                                2305843009213693951) AS v
-                FROM (SELECT doc_id FROM winners) d
-                CROSS JOIN perms p
-                LEFT JOIN eh e ON e.doc_id = d.doc_id
-                GROUP BY d.doc_id, p.i
-            ), bands AS (
-                SELECT doc_id, i // 4 AS band_id,
-                       substr(md5(string_agg(v::VARCHAR, ',' ORDER BY i)),
-                              1, 16) AS bh
-                FROM sig GROUP BY doc_id, i // 4
-            ), cand AS (
-                SELECT DISTINCT x.doc_id AS doc_id_a, y.doc_id AS doc_id_b
-                FROM bands x JOIN bands y
-                  ON x.band_id = y.band_id AND x.bh = y.bh
-                 AND y.doc_id > x.doc_id
-            ), cnt AS (
-                SELECT s.doc_id, count(e.h) AS n
-                FROM sh s LEFT JOIN eh e ON e.doc_id = s.doc_id
-                GROUP BY s.doc_id
-            ), inter AS (
-                SELECT c.doc_id_a, c.doc_id_b, count(*) AS i
-                FROM cand c
-                JOIN eh a ON a.doc_id = c.doc_id_a
-                JOIN eh b ON b.doc_id = c.doc_id_b AND b.h = a.h
-                GROUP BY 1, 2
-            ), prs AS (
-                SELECT c.doc_id_a, c.doc_id_b
-                FROM cand c
-                LEFT JOIN inter i ON i.doc_id_a = c.doc_id_a
-                                 AND i.doc_id_b = c.doc_id_b
-                JOIN cnt ca ON ca.doc_id = c.doc_id_a
-                JOIN cnt cb ON cb.doc_id = c.doc_id_b
-                WHERE CASE WHEN ca.n = 0 AND cb.n = 0 THEN 1.0
-                      ELSE coalesce(i.i, 0)
-                           / (ca.n + cb.n - coalesce(i.i, 0))::DOUBLE
-                      END >= 0.8
-            ), edges AS (
-                SELECT doc_id_a AS s, doc_id_b AS d FROM prs
-                UNION ALL
-                SELECT doc_id_b, doc_id_a FROM prs
-            ), reach(node, label) AS (
-                SELECT doc_id, doc_id FROM winners
-                UNION
-                SELECT ed.d, r.label FROM reach r JOIN edges ed ON ed.s = r.node
-            )
-"""
-    _CURATE_FINAL = r"""
-            SELECT w.doc_id, w.n_words
-            FROM winners w
-            JOIN (SELECT node, min(label) AS cl
-                  FROM reach GROUP BY node) c ON c.node = w.doc_id
-            WHERE c.cl = c.node
-        """
-    # composed pretraining export: curate survivors (CTEs verbatim) ->
-    # eval-overlap decontamination (the decontaminate_documents gram
-    # CTE shape, n=5, bench = doc_id < 20) -> concat-and-chunk packing
-    # (the pack_token_offsets window verbatim) over the export set
-    _PRETRAIN_TAIL = r"""
-            , kept AS (
-                SELECT w.doc_id, w.text
-                FROM winners w
-                JOIN (SELECT node, min(label) AS cl
-                      FROM reach GROUP BY node) c ON c.node = w.doc_id
-                WHERE c.cl = c.node
-            ), ktoks AS (
-                SELECT doc_id, regexp_extract_all(lower(text), '\S+') AS t
-                FROM kept
-            ), kgrams AS (
-                SELECT doc_id,
-                       [array_to_string(list_slice(t, i, i + 4), ' ')
-                        FOR i IN range(1, greatest(len(t) - 4, 0) + 1)]
-                           AS grams
-                FROM ktoks
-            ), btoks AS (
-                SELECT regexp_extract_all(lower(text), '\S+') AS t
-                FROM documents WHERE doc_id < 20
-            ), bgrams AS (
-                SELECT DISTINCT unnest(
-                    [array_to_string(list_slice(t, i, i + 4), ' ')
-                     FOR i IN range(1, greatest(len(t) - 4, 0) + 1)]
-                ) AS gram
-                FROM btoks
-            ), bl AS (SELECT list(gram) AS bg FROM bgrams),
-            surv AS (
-                SELECT k.doc_id, k.text
-                FROM kept k JOIN kgrams g ON g.doc_id = k.doc_id, bl
-                WHERE k.doc_id >= 20
-                  AND len(list_intersect(g.grams, bl.bg)) = 0
-            ), pt AS (
-                SELECT doc_id,
-                       len(regexp_extract_all(text, '\S+'))::BIGINT AS nt
-                FROM surv
-            ), pc_ AS (
-                SELECT doc_id, nt,
-                       coalesce(sum(nt) OVER (
-                           ORDER BY doc_id
-                           ROWS BETWEEN UNBOUNDED PRECEDING
-                                    AND 1 PRECEDING
-                       ), 0) AS st
-                FROM pt
-            )
-            SELECT doc_id,
-                   nt AS n_tokens,
-                   st::BIGINT AS start_tok,
-                   (st // 512)::BIGINT AS first_chunk,
-                   (CASE WHEN nt = 0 THEN 0
-                         ELSE (st + nt - 1) // 512 - st // 512 + 1
-                    END)::BIGINT AS n_chunks
-            FROM pc_
-        """
     return {
         "q1_pricing_summary": """
             SELECT l_returnflag, l_linestatus,
@@ -739,75 +537,6 @@ def oracle_sql() -> dict[str, str]:
                    trim(regexp_replace(text, '[-\\[\\] ]+', ' ', 'g'), '{ws}')
                        AS clean_text
             FROM documents
-        """,
-        "gopher_quality_documents": r"""
-            WITH base AS (
-                SELECT doc_id,
-                       len(regexp_extract_all(text, '\S+')) AS n_words,
-                       (len(text) - len(replace(text, '#', '')))
-                       + ((len(text) - len(replace(text, '...', ''))) // 3)
-                           AS n_sym,
-                       str_split(text, chr(10)) AS lines
-                FROM documents
-            ), m AS (
-                SELECT doc_id, n_words,
-                       CASE WHEN n_words > 0
-                            THEN round(n_sym / n_words::DOUBLE, 6)
-                            ELSE 0.0 END AS symbol_word_ratio,
-                       round(len(list_filter(lines,
-                             x -> regexp_matches(x, '^[ \t]*[-*]')))
-                             / len(lines)::DOUBLE, 6) AS bullet_line_frac,
-                       round(len(list_filter(lines, x -> x LIKE '%...'))
-                             / len(lines)::DOUBLE, 6) AS ellipsis_line_frac
-                FROM base
-            )
-            SELECT doc_id, n_words, symbol_word_ratio,
-                   bullet_line_frac, ellipsis_line_frac,
-                   (n_words BETWEEN 50 AND 100000)
-                   AND symbol_word_ratio <= 0.1
-                   AND bullet_line_frac <= 0.9
-                   AND ellipsis_line_frac <= 0.3 AS gopher_pass
-            FROM m
-        """,
-        "decontaminate_documents": r"""
-            WITH toks AS (
-                SELECT doc_id,
-                       regexp_extract_all(lower(text), '\S+') AS t
-                FROM documents
-            ), g AS (
-                SELECT doc_id,
-                       [array_to_string(list_slice(t, i, i + 4), ' ')
-                        FOR i IN range(1, greatest(len(t) - 4, 0) + 1)]
-                           AS grams
-                FROM toks
-            ), bench AS (
-                SELECT DISTINCT unnest(grams) AS gram
-                FROM g WHERE doc_id < 20
-            ), bl AS (
-                SELECT list(gram) AS bgrams FROM bench
-            )
-            SELECT g.doc_id,
-                   len(list_intersect(g.grams, bl.bgrams)) > 0
-                       AS contaminated
-            FROM g, bl WHERE g.doc_id >= 20
-        """,
-        "repetition_stats_documents": r"""
-            WITH base AS (
-                SELECT doc_id, str_split(text, chr(10)) AS lines
-                FROM documents
-            ), per_line AS (
-                SELECT doc_id, unnest(lines) AS line FROM base
-            ), modal AS (
-                SELECT doc_id, max(c) AS top_c FROM (
-                    SELECT doc_id, line, count(*) AS c
-                    FROM per_line GROUP BY doc_id, line
-                ) GROUP BY doc_id
-            )
-            SELECT b.doc_id,
-                   round(1.0 - len(list_distinct(b.lines))
-                         / len(b.lines)::DOUBLE, 6) AS dup_line_frac,
-                   round(m.top_c / len(b.lines)::DOUBLE, 6) AS top_line_frac
-            FROM base b JOIN modal m ON b.doc_id = m.doc_id
         """,
         "redact_pii_documents": r"""
             SELECT doc_id,
@@ -1037,83 +766,6 @@ def oracle_sql() -> dict[str, str]:
             FROM s a JOIN s b ON a.doc_id < b.doc_id
             WHERE bit_count(xor(a.simhash, b.simhash)) <= 3
             ORDER BY 1, 2
-        """,
-        "cap_per_source": """
-            SELECT doc_id, source, n_chars FROM (
-                SELECT doc_id, source, n_chars,
-                       row_number() OVER (
-                           PARTITION BY source
-                           ORDER BY n_chars DESC, doc_id
-                       ) AS rn
-                FROM documents
-            ) WHERE rn <= 10
-        """,
-        "pack_token_offsets": r"""
-            WITH t AS (
-                SELECT doc_id,
-                       len(regexp_extract_all(text, '\S+'))::BIGINT AS nt
-                FROM documents
-            ), c AS (
-                SELECT doc_id, nt,
-                       coalesce(sum(nt) OVER (
-                           ORDER BY doc_id
-                           ROWS BETWEEN UNBOUNDED PRECEDING
-                                    AND 1 PRECEDING
-                       ), 0) AS st
-                FROM t
-            )
-            SELECT doc_id,
-                   nt AS n_tokens,
-                   st::BIGINT AS start_tok,
-                   (st // 512)::BIGINT AS first_chunk,
-                   (CASE WHEN nt = 0 THEN 0
-                         ELSE (st + nt - 1) // 512 - st // 512 + 1
-                    END)::BIGINT AS n_chunks
-            FROM c
-        """,
-        "resample_by_source": """
-            SELECT doc_id, source FROM documents
-            WHERE ('0x' || substr(
-                       md5('mix-42|' || doc_id::VARCHAR), 1, 8
-                   ))::UBIGINT
-                  < (CASE WHEN right(source, 1) BETWEEN '0' AND '9'
-                          THEN (right(source, 1)::INT + 1) / 10.0
-                          ELSE 1.0 END) * 4294967296
-        """,
-        # DSIR hashed-ngram importance (pipelines/text.py): same md5-64
-        # token hash as the minhash family, add-1 smoothing, integer
-        # micro-log10 quantization term-for-term with the engine
-        "dsir_importance": """
-            WITH t AS (
-                SELECT doc_id, source,
-                       unnest(regexp_extract_all(lower(text), '\\S+')) AS tok
-                FROM documents
-            ), bt AS (
-                SELECT doc_id, source,
-                       CAST(('0x' || substr(md5(tok), 1, 16))::UBIGINT
-                            % 1024 AS BIGINT) AS b
-                FROM t
-            ), cnt AS (
-                SELECT b,
-                       count(*) FILTER (
-                           WHERE source IN ('src1', 'src2', 'src3')
-                       ) AS n_t,
-                       count(*) AS n_s
-                FROM bt GROUP BY b
-            ), tot AS (
-                SELECT sum(n_t) AS nt, sum(n_s) AS ns FROM cnt
-            ), li AS (
-                SELECT b,
-                       CAST(floor(log10(
-                           ((n_t + 1)::DOUBLE / (tot.nt + 1024))
-                           / ((n_s + 1)::DOUBLE / (tot.ns + 1024))
-                       ) * 1000000 + 0.5) AS BIGINT) AS v
-                FROM cnt, tot
-            )
-            SELECT bt.doc_id,
-                   CAST(sum(li.v) AS BIGINT) AS micro_logratio
-            FROM bt JOIN li USING (b)
-            GROUP BY bt.doc_id
         """,
         # the md5-ordered within-stratum shuffle mirrored exactly;
         # round(n*0.2) can never land on .5 (n/5 has no .5 fraction),
@@ -1468,11 +1120,6 @@ def oracle_sql() -> dict[str, str]:
                    CAST(node = min(label) AS BIGINT) AS is_canonical
             FROM reach GROUP BY node
         """,
-        # composed curation: quality/lang gate -> exact dedup (min
-        # doc_id per md5) -> bit-exact MinHash LSH pairs over the
-        # survivors -> recursive-CTE components -> canonical survivors
-        "curate_documents": _curate_ctes + _CURATE_FINAL,
-        "pretrain_export": _curate_ctes + _PRETRAIN_TAIL,
                 "knn_cosine": """
             WITH q AS (
                 SELECT vec_id AS query_id, embedding AS qe

@@ -38,7 +38,7 @@ import ray.data
 from ..functions import textops
 from ..sources.io import sized_read_parquet
 from ..stages.joins import bucket_lookup_join
-from ..stages.shuffle import bucketed_sum_ds, salted_dedup
+from ..stages.shuffle import NO_FUSE_NUM_CPUS, bucketed_sum_ds, salted_dedup
 
 
 def _read_docs(
@@ -262,8 +262,6 @@ def inverted_index(sf_dir: str, n_shards: int = 16) -> "ray.data.Dataset":
                 "tfs": pa.array(agg["tfs"].tolist(), pa.string()),
             }
         )
-
-    from ..stages.joins import NO_FUSE_NUM_CPUS
 
     return (
         _tf_ds(sf_dir)

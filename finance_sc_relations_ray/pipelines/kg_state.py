@@ -60,7 +60,8 @@ the whole protocol: no tmp tree and no rmtree of the store. Into a new
 directory, the source store's live runs, ``_meta.parquet`` and
 ``_log/`` as of one log listing are hardlinked into ``<out_dir>.tmp``
 (copied across filesystems), the merge runs in place there, and the
-tree is renamed to ``out_dir``; the source is never written.
+tree is renamed to ``out_dir``, which must not exist (so publishing
+deletes nothing); the source is never written.
 
 Writers racing on one store: the loser of a ``seq`` is refused
 (:class:`FileExistsError`), deletes only its own files (their names
@@ -491,14 +492,19 @@ def update_kg_state(
     and delta MERGE (recrawled or re-reported relations bump
     n_mentions, advance score max, extend evidence) — that is the
     operator's purpose, mirroring update_url_state.
-    ``out_dir`` may be ``state_dir``; otherwise the merge runs on a
-    hardlinked copy that is renamed to ``out_dir`` at the end."""
+    ``out_dir`` may be ``state_dir``; otherwise it must not exist
+    (:class:`FileExistsError`), and the merge runs on a hardlinked copy
+    that is renamed to ``out_dir`` at the end."""
     from ..stages.shuffle import partial_dedup_batch
     from .kg import DEFAULT_CONFIG, build_kg_pipeline
 
     t0 = time.perf_counter()
     state_dir = os.path.abspath(state_dir)
     out_dir = os.path.abspath(out_dir)
+    if out_dir != state_dir and os.path.exists(out_dir):
+        # publishing over it would need a delete step, and a crash in
+        # that step would leave a partly deleted store
+        raise FileExistsError(out_dir)
     meta = pq.read_table(os.path.join(state_dir, _META))
     n_shards = int(meta["n_shards"][0].as_py())
     if out_dir == state_dir:
@@ -556,7 +562,6 @@ def update_kg_state(
         pass  # a racing writer took the seq; a later merge compacts
     _sweep(store)
     if store != out_dir:
-        shutil.rmtree(out_dir, ignore_errors=True)
         os.replace(store, out_dir)
     return out_dir
 
@@ -567,7 +572,7 @@ def build_kg_state(
     """Persist the triple store from a base crawl: the merge of that
     crawl into an empty store (a ``_meta.parquet`` recording
     ``n_shards`` and no runs), so a killed build leaves no store at
-    ``out_dir``."""
+    ``out_dir``. ``out_dir`` must not exist."""
     empty = out_dir + ".empty"
     shutil.rmtree(empty, ignore_errors=True)
     os.makedirs(empty)

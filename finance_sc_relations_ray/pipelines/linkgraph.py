@@ -56,8 +56,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..sources.io import sized_read_parquet
-from ..stages.joins import NO_FUSE_NUM_CPUS, bucket_lookup_join
-from ..stages.shuffle import bucketed_sum_ds, salted_dedup
+from ..stages.joins import bucket_lookup_join
+from ..stages.shuffle import NO_FUSE_NUM_CPUS, bucketed_sum_ds, salted_dedup
 
 _URL_RE = r"^https?://([^/]+)/page/(\d+)$"
 # href target host: the fixture plants absolute http(s) urls only

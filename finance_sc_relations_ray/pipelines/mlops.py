@@ -340,8 +340,12 @@ def _emb_lsh_funnel_ds(
     Band-exchange bytes at d=64 float32: 20/276 ≈ 7% of the ride-along
     plan per band row (measured A/B in BASELINE.md round 4)."""
     from ..sources.io import candidate_filtered_read
-    from ..stages.joins import NO_FUSE_NUM_CPUS, bucket_lookup_join
-    from ..stages.shuffle import distinct_pair_ids_ds, distinct_pairs_ds
+    from ..stages.joins import bucket_lookup_join
+    from ..stages.shuffle import (
+        NO_FUSE_NUM_CPUS,
+        distinct_pair_ids_ds,
+        distinct_pairs_ds,
+    )
     from ..config import exchange_fanout
 
     n_coarse = exchange_fanout()
@@ -555,7 +559,7 @@ def embedding_dup_pairs_lsh_ds(
     fail loudly instead of hash-mismatching confusingly; mirrors
     ``_minhash_pairs_ds``)."""
     from ..config import exchange_fanout
-    from ..stages.joins import NO_FUSE_NUM_CPUS
+    from ..stages.shuffle import NO_FUSE_NUM_CPUS
 
     n_coarse = exchange_fanout()
     r, n_bands = lsh_pair_params(threshold, target_miss, max_bands)
@@ -1087,7 +1091,7 @@ def semantic_prune_documents_ds(
     KEPT (vec_id, cluster) rows."""
     import hashlib
 
-    from ..stages.joins import NO_FUSE_NUM_CPUS
+    from ..stages.shuffle import NO_FUSE_NUM_CPUS
 
     def assign(batch: pa.Table) -> pa.Table:
         vids = batch["vec_id"].to_pylist()
@@ -1149,7 +1153,7 @@ def semantic_dedup_ds(
     scales with the corpus (the paper uses k≈110k on LAION). A cluster
     over ``max_cluster`` raises rather than degrading quietly: raise k.
     Output: the KEPT (vec_id, cluster) rows."""
-    from ..stages.joins import NO_FUSE_NUM_CPUS
+    from ..stages.shuffle import NO_FUSE_NUM_CPUS
 
     cent, quant = kmeans_fit(sf_dir, k, iters, refit_source=refit_source)
     ref = ray.put(cent)

@@ -193,7 +193,7 @@ def segment_order_stats(sf_dir: str) -> pd.DataFrame:
     import pyarrow.parquet as pq
 
     cust = pq.read_table(_t(sf_dir, "customer"), columns=["c_custkey", "c_mktsegment"])
-    # broadcast a pandas Series keyed by custkey: reindex is the
+    # broadcast a pandas Series keyed by custkey: get_indexer is the
     # vectorized hash lookup (the per-row dict .get loop was ~30x
     # slower on 150k-row batches)
     seg_ref = ray.put(
@@ -208,10 +208,15 @@ def segment_order_stats(sf_dir: str) -> pd.DataFrame:
             self.seg = ray.get(seg_ref)
 
         def __call__(self, batch: pa.Table) -> pa.Table:
-            segs = self.seg.reindex(
+            pos = self.seg.index.get_indexer(
                 batch["o_custkey"].to_numpy(zero_copy_only=False)
-            ).to_numpy()
-            return batch.append_column("c_mktsegment", pa.array(segs, pa.string()))
+            )
+            # inner join: an order whose customer is missing is dropped
+            found = pos >= 0
+            segs = self.seg.to_numpy()[pos[found]]
+            return batch.filter(pa.array(found)).append_column(
+                "c_mktsegment", pa.array(segs, pa.string())
+            )
 
     out = (
         _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
@@ -545,7 +550,7 @@ def user_sessions(sf_dir: str, gap_minutes: int = 30) -> pd.DataFrame:
              "n_events": "int64"}
         )
 
-    from ..stages.joins import NO_FUSE_NUM_CPUS
+    from ..stages.shuffle import NO_FUSE_NUM_CPUS
 
     return (
         ds.map_batches(add_bucket, batch_format="pyarrow")
@@ -694,7 +699,7 @@ def events_user_cumsum(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    from ..stages.joins import NO_FUSE_NUM_CPUS
+    from ..stages.shuffle import NO_FUSE_NUM_CPUS
 
     # returns the lazy Dataset: the result is per-EVENT (dataset-sized),
     # so it must stream to its consumer, never materialize on the driver
@@ -774,7 +779,7 @@ def events_rolling(sf_dir: str, window: int = 7) -> "ray.data.Dataset":
             }
         )
 
-    from ..stages.joins import NO_FUSE_NUM_CPUS
+    from ..stages.shuffle import NO_FUSE_NUM_CPUS
 
     return (
         ds.map_batches(add_bucket, batch_format="pyarrow")

@@ -266,255 +266,6 @@ def run_partitioned(
     return total
 
 
-def curate_partitioned(
-    sf_dir: str,
-    out_dir: str,
-    num_parts: int = 16,
-    parts_per_chunk: int = 8,
-    max_chunks: int | None = None,
-    lang: str = "en",
-    min_tokens: int = 20,
-    max_punct_ratio: float = 0.05,
-    **curate_kwargs,
-) -> dict:
-    """Resumable, partitioned execution of the curation flagship (r3
-    verdict #7) — ``curate_documents_ds`` decomposed into the
-    ``run_partitioned`` manifest pattern so a killed curation run
-    resumes at part granularity:
-
-    - **Stage 1 (per part, resumable)**: each part (a deterministic
-      group of the ``documents.parquet`` input files, like the KG
-      runner's file parts) is gated (lang pushdown + quality predicate)
-      and exact-dedup-reduced WITHIN the part: one winner row
-      (h, doc_id, text, n_words) per distinct md5(text), min doc_id.
-      Winner-per-hash is a min-semilattice, so per-part winners merge
-      to exactly the global winners — the same mergeability argument
-      as the KG runner's within-part triple dedup. Written to
-      ``out_dir/stage1/part=<k>/`` + manifest mark; a resumed run
-      prunes finished parts AT THE READ (their input files are never
-      opened).
-    - **Stage 2 (global, idempotent)**: merge the per-part winners
-      (groupby h, keep min), then the near-dup mine → components →
-      anti-join exactly as the one-shot pipeline, writing survivors to
-      ``out_dir/final/``. Marked in the manifest as part ``-1``; a
-      crash during stage 2 reruns only stage 2 (stage-1 parts all
-      skip). Stage 2 is global because near-dup clusters span parts by
-      nature — the resume unit for the expensive text scan is stage 1.
-
-    Output equals the one-shot ``curate_documents_ds`` row-for-row
-    (asserted in tests/test_resume_curation.py). Returns summary
-    metrics including ``files_read`` (read-layer pruning proof)."""
-    import pyarrow.dataset as pads
-
-    from ..sources.io import sized_read_parquet
-    from . import text as T
-
-    docs_path = os.path.join(sf_dir, "documents.parquet")
-    files = (
-        sorted(
-            os.path.join(docs_path, f)
-            for f in os.listdir(docs_path)
-            if f.endswith(".parquet")
-        )
-        if os.path.isdir(docs_path)
-        else [docs_path]
-    )
-    num_parts = min(num_parts, len(files))
-    part_files = {p: files[p::num_parts] for p in range(num_parts)}
-
-    manifest = Manifest(out_dir)
-    done = manifest.completed_parts()
-    todo = [p for p in range(num_parts) if p not in done]
-    chunks = [
-        todo[i : i + parts_per_chunk]
-        for i in range(0, len(todo), parts_per_chunk)
-    ]
-    if max_chunks is not None:
-        chunks = chunks[:max_chunks]
-
-    total = {
-        "parts_done": len([p for p in done if p >= 0]),
-        "parts_run": 0,
-        "files_read": 0,
-        "n_winner_rows": 0,
-    }
-
-    gate = T.make_quality_gate(min_tokens, max_punct_ratio)
-
-    for chunk in chunks:
-        t0 = time.perf_counter()
-        chunk_paths = [f for p in chunk for f in part_files[p]]
-        file_part = {f: p for p in chunk for f in part_files[p]}
-
-        eligible = ray.data.read_parquet(
-            chunk_paths,
-            columns=["doc_id", "text"],
-            filter=pads.field("lang") == lang,
-            include_paths=True,
-        )
-
-        def tag_part(batch: pa.Table, _fp=file_part) -> pa.Table:
-            parts = [_fp[p] for p in batch["path"].to_pylist()]
-            return batch.drop_columns(["path"]).append_column(
-                "__part", pa.array(parts, pa.int32())
-            )
-
-        winners = T.part_winners_ds(
-            eligible.map_batches(tag_part, batch_format="pyarrow")
-            .map_batches(gate, batch_format="pyarrow")
-        )
-
-        def count_rows(batch: pa.Table) -> pa.Table:
-            import pandas as pd_
-
-            g = (
-                batch.select(["__part"]).to_pandas()
-                .groupby("__part", as_index=False).size()
-            )
-            return pa.Table.from_pandas(g, preserve_index=False)
-
-        winners = winners.materialize()
-        counts = (
-            winners.map_batches(count_rows, batch_format="pyarrow")
-            .to_pandas().groupby("__part")["size"].sum()
-        )
-        for p in chunk:
-            shutil.rmtree(
-                os.path.join(out_dir, "stage1", f"part={p}"),
-                ignore_errors=True,
-            )
-        winners.map_batches(
-            lambda b: b.rename_columns(
-                ["part" if c == "__part" else c for c in b.column_names]
-            ),
-            batch_format="pyarrow",
-        ).write_parquet(os.path.join(out_dir, "stage1"),
-                        partition_cols=["part"])
-        chunk_sec = time.perf_counter() - t0
-        for p in chunk:
-            n_rows = int(counts.get(p, 0))
-            manifest.mark_done(
-                p,
-                {
-                    "n_files": len(part_files[p]),
-                    "n_winner_rows": n_rows,
-                    "seconds": round(chunk_sec / len(chunk), 3),
-                },
-            )
-            total["parts_run"] += 1
-            total["files_read"] += len(part_files[p])
-            total["n_winner_rows"] += n_rows
-
-    stage1_done = {p for p in manifest.completed_parts() if p >= 0}
-    if len(stage1_done) < num_parts:
-        total["parts_done"] = len(stage1_done)
-        return total  # interrupted run (max_chunks): stage 2 deferred
-
-    if -1 not in manifest.completed_parts():
-        t0 = time.perf_counter()
-        final_dir = os.path.join(out_dir, "final")
-        shutil.rmtree(final_dir, ignore_errors=True)
-        stage1 = sized_read_parquet(
-            os.path.join(out_dir, "stage1"),
-            columns=["h", "doc_id", "text", "n_words"],
-        )
-        survivors = T.curate_from_winners_ds(
-            sf_dir, stage1, **curate_kwargs
-        )
-        survivors.write_parquet(final_dir)
-        n_final = sized_read_parquet(final_dir).count()
-        manifest.mark_done(
-            -1,
-            {"n_final": n_final,
-             "seconds": round(time.perf_counter() - t0, 3)},
-        )
-        total["n_final"] = n_final
-    else:
-        total["n_final"] = next(
-            rec["n_final"] for rec in manifest.metrics() if rec["part"] == -1
-        )
-    total["parts_done"] = len(stage1_done)
-    return total
-
-
-def pretrain_export_partitioned(
-    sf_dir: str,
-    out_dir: str,
-    seq_len: int = 512,
-    bench_max_doc_id: int = 20,
-    n: int = 5,
-    num_parts: int = 16,
-    parts_per_chunk: int = 8,
-    max_chunks: int | None = None,
-    **curate_kwargs,
-) -> dict:
-    """Resumable execution of the composed pretraining export
-    (text.pretrain_export) — curation's partitioned runner plus an
-    idempotent EXPORT stage:
-
-    - **Stages 1+2**: :func:`curate_partitioned` verbatim, with
-      ``keep_text=True`` so the stage-2 survivors land in
-      ``out_dir/final/`` WITH text (the loser side of the anti-join
-      still moves ids only). All of stage 1's part-granular resume
-      semantics apply unchanged.
-    - **Stage 3 (global, idempotent, manifest part ``-2``)**:
-      decontaminate + pack over the persisted survivors
-      (text._export_tail) and WRITE the per-doc offsets manifest to
-      ``out_dir/export/`` via a distributed ``write_parquet`` — at
-      corpus scale the offsets table is corpus-sized and never touches
-      the driver. A crash during stage 3 reruns only stage 3; a
-      completed run is a no-op.
-
-    Output equals the one-shot ``pretrain_export`` row-for-row
-    (tests/test_resume_curation.py)."""
-    from . import text as T
-    from ..sources.io import sized_read_parquet
-
-    total = curate_partitioned(
-        sf_dir, out_dir,
-        num_parts=num_parts, parts_per_chunk=parts_per_chunk,
-        max_chunks=max_chunks, keep_text=True, **curate_kwargs,
-    )
-    # stage 2 ran iff n_final is present (curate_partitioned CLAMPS
-    # num_parts to the input file count, so comparing parts_done
-    # against the caller's num_parts would defer the export forever on
-    # corpora with fewer files than requested parts)
-    if "n_final" not in total:
-        return total  # interrupted in stage 1: export deferred
-
-    manifest = Manifest(out_dir)
-    if -2 in manifest.completed_parts():
-        total["n_exported"] = next(
-            rec["n_exported"] for rec in manifest.metrics()
-            if rec["part"] == -2
-        )
-        return total
-
-    t0 = time.perf_counter()
-    export_dir = os.path.join(out_dir, "export")
-    shutil.rmtree(export_dir, ignore_errors=True)
-    survivors = sized_read_parquet(
-        os.path.join(out_dir, "final"),
-        columns=["doc_id", "text", "n_words"],
-    )
-    offsets = T._export_tail(
-        survivors, sf_dir, seq_len, bench_max_doc_id, n, None
-    )
-    if offsets is None:
-        os.makedirs(export_dir, exist_ok=True)
-        n_exported = 0
-    else:
-        offsets.write_parquet(export_dir)
-        n_exported = sized_read_parquet(export_dir).count()
-    manifest.mark_done(
-        -2,
-        {"n_exported": n_exported,
-         "seconds": round(time.perf_counter() - t0, 3)},
-    )
-    total["n_exported"] = n_exported
-    return total
-
-
 def compact_parts(out_dir: str, target_rows_per_file: int = 500_000) -> dict:
     """Merge each partition's chunk files into few large files (the
     small-file problem: every resumed chunk run appends a file per

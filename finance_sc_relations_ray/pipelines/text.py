@@ -515,7 +515,6 @@ def _minhash_pairs_ds(
     max_bucket_docs: int = 1000,
     pushdown_max_ids: int = 100_000,
     on_degenerate: str = "star",
-    docs_ds: "ray.data.Dataset | None" = None,
 ) -> "ray.data.Dataset":
     """MinHash+LSH near-dup candidate pairs, verified with exact word-
     3-gram Jaccard (shingle → minhash → band → bucket groupby →
@@ -527,21 +526,8 @@ def _minhash_pairs_ds(
     the min id, logged) or ``"raise"`` (oracle-gated contexts: the
     star cap is deliberately NOT modeled in the SQL oracle, so fail
     loudly with a clear message instead of hash-mismatching
-    confusingly; r2 ADVICE item).
-
-    ``docs_ds``: optional upstream (doc_id, text) Dataset to mine
-    instead of the raw documents table — MUST be a row-subset of
-    ``sf_dir/documents.parquet`` with unmodified doc_id/text (the
-    exact-verify stage re-reads candidate texts from the file by id,
-    which is only equivalent under that contract). This is how the
-    composed curation pipeline restricts near-dup mining to its
-    filter/exact-dedup survivors without a second text exchange."""
-    docs = (
-        docs_ds
-        if docs_ds is not None
-        else _read(sf_dir, ["doc_id", "text"], fanout=True)
-    )
-    bands_ds = docs.map_batches(
+    confusingly; r2 ADVICE item)."""
+    bands_ds = _read(sf_dir, ["doc_id", "text"], fanout=True).map_batches(
         MinHashActor,
         fn_constructor_kwargs={"num_perm": num_perm, "bands": bands},
         batch_format="pyarrow",
@@ -604,7 +590,7 @@ def _minhash_pairs_ds(
              "doc_id_b": np.concatenate(out_b)}
         )
 
-    from ..stages.joins import NO_FUSE_NUM_CPUS
+    from ..stages.shuffle import NO_FUSE_NUM_CPUS
 
     raw_pairs = (
         bands_ds.map_batches(add_coarse, batch_format="pyarrow")
@@ -1025,7 +1011,7 @@ def span_dedup_documents(
     num_buckets = exchange_fanout(num_buckets)
     import hashlib
 
-    from ..stages.joins import NO_FUSE_NUM_CPUS
+    from ..stages.shuffle import NO_FUSE_NUM_CPUS
 
     def span_occurrences(batch: pa.Table) -> pa.Table:
         doc_ids, poss, h1s, h2s = [], [], [], []
@@ -1293,10 +1279,10 @@ def _ngram_jaccard_pairs_ds(
         )["i"].sum()
         return out
 
-    from ..stages.joins import NO_FUSE_NUM_CPUS
+    from ..stages.shuffle import NO_FUSE_NUM_CPUS
 
     # num_cpus on both group stages blocks downstream-map fusion (see
-    # stages/joins.py NO_FUSE_NUM_CPUS): a fused map re-bundles sorted
+    # stages/shuffle.py NO_FUSE_NUM_CPUS): a fused map re-bundles sorted
     # blocks → partial groups → missed pairs / partial sums
     inter = (
         shingle_rows.groupby("coarse")
@@ -1334,7 +1320,7 @@ def _pairs_distinct(ds: "ray.data.Dataset", k: int) -> "ray.data.Dataset":
     drop_duplicates → hash-bucketed exchange → per-bucket distinct —
     the stages/shuffle.distinct_pairs_ds pattern with these column
     names)."""
-    from ..stages.joins import NO_FUSE_NUM_CPUS
+    from ..stages.shuffle import NO_FUSE_NUM_CPUS
 
     def local(batch: pa.Table) -> pa.Table:
         df = batch.select(["u", "v"]).to_pandas().drop_duplicates()
@@ -1407,7 +1393,7 @@ def _alternating_star_labels(
     of stars centered at component minima (paper, Lemmas 1-3), at
     which point both operations return their input unchanged — so the
     loop stops when the (count, hashsum) fingerprint repeats."""
-    from ..stages.joins import NO_FUSE_NUM_CPUS
+    from ..stages.shuffle import NO_FUSE_NUM_CPUS
 
     def canon(batch: pa.Table) -> pa.Table:
         s = batch["src"].to_numpy(zero_copy_only=False)
@@ -1565,13 +1551,14 @@ def _pair_graph_labels(
     method: str = "propagation",
 ) -> "ray.data.Dataset | None":
     """Connected-component labels over a pair Dataset
-    (``doc_id_a``/``doc_id_b``): the distributed core shared by
-    :func:`dup_clusters` and the composed curation pipeline. Returns
-    the converged ``(node, label)`` Dataset (label = component min),
-    or ``None`` when the graph has no edges. Every node that appears
+    (``doc_id_a``/``doc_id_b``): the distributed core of
+    :func:`dup_clusters`. Returns the converged ``(node, label)``
+    Dataset (label = component min), or ``None`` when the graph has no
+    edges. Every node that appears
     in any pair gets a row; by hash-to-min monotonicity the component
     minimum's label is itself."""
-    from ..stages.joins import NO_FUSE_NUM_CPUS, bucket_lookup_join
+    from ..stages.joins import bucket_lookup_join
+    from ..stages.shuffle import NO_FUSE_NUM_CPUS
 
     num_buckets = exchange_fanout(num_buckets)
 
@@ -1712,335 +1699,6 @@ def _finalize_dup_clusters(
         )
 
     out = joined.map_batches(finalize_clusters, batch_format="pyarrow").to_pandas()
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-# --------------------------------------------- composed curation --------
-def curate_documents_ds(
-    sf_dir: str,
-    lang: str = "en",
-    min_tokens: int = 20,
-    max_punct_ratio: float = 0.05,
-    jaccard_threshold: float = 0.8,
-    num_perm: int = 64,
-    bands: int = 16,
-    max_iter: int = 30,
-    num_buckets: int | None = None,
-    on_degenerate: str = "star",
-    method: str = "propagation",
-    keep_text: bool = False,
-) -> "ray.data.Dataset":
-    """End-to-end corpus curation — the composed flagship text
-    pipeline (the C4/RefinedWeb curation shape), each stage reusing an
-    oracled single-op core:
-
-      1. language + quality gate (``filter_quality_documents``
-         semantics: scan-level ``lang =`` predicate pushdown, then the
-         vectorized min-token / punct-ratio predicate) — map-only;
-      2. exact dedup keeping the smallest doc_id per md5(text) — the
-         pipeline's first all-to-all; per-batch combiner first (one
-         winner row per (hash × batch) enters the exchange), coarse
-         hash buckets so one map_groups call reduces many hashes;
-      3. MinHash+LSH near-dup pairs over the survivors
-         (:func:`_minhash_pairs_ds` with ``docs_ds=``; exact
-         duplicates are already gone, so LSH only hunts near-misses —
-         the standard reason production pipelines order exact before
-         fuzzy);
-      4. connected components over the pair graph
-         (:func:`_pair_graph_labels`): every non-minimum member of a
-         dup cluster is dropped (keep-one-representative, min doc_id —
-         the reference's keep-one rule in
-         ``src/relation_extraction/reporter.py`` applied corpus-wide);
-      5. survivors emitted as (doc_id, n_words); the cluster losers
-         are removed by an anti-join phrased as a left bucket join +
-         null filter.
-
-    Scale notes: stage 2's exchange ships each distinct text once —
-    the unavoidable exact-dedup cost; stages 3-5 move only ids, pair
-    rows and fixed-width signatures. Nothing reaches the driver except
-    the scalar pair/edge counts that size the bucketed exchanges.
-    Oracle: the full composition is SQL-expressible (bit-exact MinHash
-    constants + recursive-CTE components) — see
-    ``oracle_sql()['curate_documents']``."""
-    num_buckets = exchange_fanout(num_buckets)
-    n_hb = exchange_fanout()
-    import pyarrow.dataset as pads
-
-    from ..stages.joins import NO_FUSE_NUM_CPUS
-
-    gate = make_quality_gate(min_tokens, max_punct_ratio)
-
-    eligible = sized_read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-        filter=pads.field("lang") == lang,
-        fanout=True,
-    ).map_batches(gate, batch_format="pyarrow")
-
-    def hash_partial(batch: pa.Table) -> pa.Table:
-        best: dict[str, tuple[int, str, int]] = {}
-        for doc_id, text, nw in zip(
-            batch["doc_id"].to_pylist(),
-            batch["text"].to_pylist(),
-            batch["n_words"].to_pylist(),
-        ):
-            h = textops.fingerprint(text)
-            cur = best.get(h)
-            if cur is None or doc_id < cur[0]:
-                best[h] = (doc_id, text, nw)
-        hs = list(best.keys())
-        return pa.table(
-            {
-                "h": pa.array(hs, pa.string()),
-                "hb": pa.array(
-                    [zlib.crc32(x.encode()) % n_hb for x in hs], pa.int32()
-                ),
-                "doc_id": pa.array([best[x][0] for x in hs], pa.int64()),
-                "text": pa.array([best[x][1] for x in hs], pa.string()),
-                "n_words": pa.array([best[x][2] for x in hs], pa.int64()),
-            }
-        )
-
-    def keep_min(g: pd.DataFrame) -> pd.DataFrame:
-        idx = g.groupby("h")["doc_id"].idxmin()
-        return g.loc[idx, ["doc_id", "text", "n_words"]]
-
-    # materialized once (object store): consumed by the minhash miner
-    # AND the final anti-join
-    winners = (
-        eligible.map_batches(hash_partial, batch_format="pyarrow")
-        .groupby("hb")
-        .map_groups(keep_min, batch_format="pandas", num_cpus=NO_FUSE_NUM_CPUS)
-        .materialize()
-    )
-    # NOT re-blocked: the dedup groupby leaves one near-empty block
-    # per hash bucket and the downstream exchanges pay a per-block
-    # barrier task each at gate scale — but collapsing the winner
-    # stream (tried: repartition to ~2 gate-scale blocks) caps the
-    # minhash signer's task parallelism at the block count, starving
-    # the shingle explode exactly like the 1-block reads documented
-    # in sources/io.sized_read_parquet(fanout=True). The empty-block
-    # barrier cost is the lesser, fixed-at-scale overhead.
-
-    return _curate_tail(
-        sf_dir, winners,
-        jaccard_threshold=jaccard_threshold, num_perm=num_perm,
-        bands=bands, max_iter=max_iter, num_buckets=num_buckets,
-        on_degenerate=on_degenerate, method=method, keep_text=keep_text,
-    )
-
-
-def make_quality_gate(min_tokens: int = 20, max_punct_ratio: float = 0.05):
-    """The curation stage-1 quality predicate as a reusable batch fn
-    (shared by the one-shot flagship and the resumable
-    ``curate_partitioned`` runner): vectorized min-token / punct-ratio
-    gate, emitting (doc_id, text, n_words) plus any extra columns the
-    batch carries (e.g. the partitioned runner's ``__part``)."""
-    import pyarrow.compute as pc
-
-    def gate(batch: pa.Table) -> pa.Table:
-        text = batch["text"]
-        n_tokens = pc.count_substring_regex(text, _TOKEN_PAT).cast(pa.int64())
-        n_punct = (
-            pc.count_substring_regex(text, _PUNCT_PAT)
-            .cast(pa.int64())
-            .to_numpy(zero_copy_only=False)
-            .astype(np.float64)
-        )
-        n_chars = (
-            pc.utf8_length(text)
-            .cast(pa.int64())
-            .to_numpy(zero_copy_only=False)
-            .astype(np.float64)
-        )
-        ratio = np.divide(  # unrounded (SQL parity)
-            n_punct, n_chars, out=np.zeros_like(n_punct), where=n_chars > 0
-        )
-        nt = n_tokens.to_numpy(zero_copy_only=False)
-        keep = (nt >= min_tokens) & (ratio <= max_punct_ratio)
-        cols = {"doc_id": batch["doc_id"], "text": text, "n_words": n_tokens}
-        for extra in batch.column_names:
-            if extra not in ("doc_id", "text") and extra.startswith("__"):
-                cols[extra] = batch[extra]
-        return pa.table(cols).filter(pa.array(keep))
-
-    return gate
-
-
-def part_winners_ds(gated: "ray.data.Dataset") -> "ray.data.Dataset":
-    """Per-PART exact-dedup winners over a gated stream carrying a
-    ``__part`` column: one (h, doc_id, text, n_words, __part) row per
-    distinct md5(text) WITHIN each part, min doc_id. Winner-per-hash is
-    a min-semilattice, so merging per-part winners with another
-    keep-min pass yields exactly the global winners — the resumable
-    runner's mergeability contract (pipelines/run.curate_partitioned).
-    Combiner-first: each batch emits one candidate row per (part, h),
-    then one bucketed exchange reduces per part."""
-    n_hb = exchange_fanout()
-    from ..stages.joins import NO_FUSE_NUM_CPUS
-
-    def hash_partial(batch: pa.Table) -> pa.Table:
-        best: dict[tuple[int, str], tuple[int, str, int]] = {}
-        for part, doc_id, text, nw in zip(
-            batch["__part"].to_pylist(),
-            batch["doc_id"].to_pylist(),
-            batch["text"].to_pylist(),
-            batch["n_words"].to_pylist(),
-        ):
-            h = textops.fingerprint(text)
-            cur = best.get((part, h))
-            if cur is None or doc_id < cur[0]:
-                best[(part, h)] = (doc_id, text, nw)
-        keys = list(best.keys())
-        return pa.table(
-            {
-                "__part": pa.array([k[0] for k in keys], pa.int32()),
-                "h": pa.array([k[1] for k in keys], pa.string()),
-                "hb": pa.array(
-                    [zlib.crc32(k[1].encode()) % n_hb for k in keys], pa.int32()
-                ),
-                "doc_id": pa.array([best[k][0] for k in keys], pa.int64()),
-                "text": pa.array([best[k][1] for k in keys], pa.string()),
-                "n_words": pa.array([best[k][2] for k in keys], pa.int64()),
-            }
-        )
-
-    def keep_min(g: pd.DataFrame) -> pd.DataFrame:
-        idx = g.groupby(["__part", "h"])["doc_id"].idxmin()
-        return g.loc[idx, ["__part", "h", "doc_id", "text", "n_words"]]
-
-    return (
-        gated.map_batches(hash_partial, batch_format="pyarrow")
-        .groupby("hb")
-        .map_groups(keep_min, batch_format="pandas", num_cpus=NO_FUSE_NUM_CPUS)
-    )
-
-
-def curate_from_winners_ds(
-    sf_dir: str,
-    stage1: "ray.data.Dataset",
-    jaccard_threshold: float = 0.8,
-    num_perm: int = 64,
-    bands: int = 16,
-    max_iter: int = 30,
-    num_buckets: int | None = None,
-    on_degenerate: str = "star",
-    method: str = "propagation",
-    keep_text: bool = False,
-) -> "ray.data.Dataset":
-    """Stage 2 of the resumable curation runner: merge per-part winner
-    rows (h, doc_id, text, n_words) into GLOBAL winners (keep-min per
-    hash — exact because winner-per-hash is a min-semilattice over the
-    per-part partials), then run the shared near-dup tail. Equals the
-    one-shot :func:`curate_documents_ds` row-for-row on the same
-    input."""
-    num_buckets = exchange_fanout(num_buckets)
-    n_hb = exchange_fanout()
-    from ..stages.joins import NO_FUSE_NUM_CPUS
-
-    def add_hb(batch: pa.Table) -> pa.Table:
-        hb = [zlib.crc32(h.encode()) % n_hb for h in batch["h"].to_pylist()]
-        return batch.append_column("hb", pa.array(hb, pa.int32()))
-
-    def keep_min(g: pd.DataFrame) -> pd.DataFrame:
-        idx = g.groupby("h")["doc_id"].idxmin()
-        return g.loc[idx, ["doc_id", "text", "n_words"]]
-
-    winners = (
-        stage1.map_batches(add_hb, batch_format="pyarrow")
-        .groupby("hb")
-        .map_groups(keep_min, batch_format="pandas", num_cpus=NO_FUSE_NUM_CPUS)
-        .materialize()
-    )
-    return _curate_tail(
-        sf_dir, winners,
-        jaccard_threshold=jaccard_threshold, num_perm=num_perm,
-        bands=bands, max_iter=max_iter, num_buckets=num_buckets,
-        on_degenerate=on_degenerate, method=method, keep_text=keep_text,
-    )
-
-
-def _curate_tail(
-    sf_dir: str,
-    winners: "ray.data.Dataset",
-    jaccard_threshold: float,
-    num_perm: int,
-    bands: int,
-    max_iter: int,
-    num_buckets: int,
-    on_degenerate: str,
-    method: str,
-    keep_text: bool = False,
-) -> "ray.data.Dataset":
-    """Stages 3-5 of the curation flagship (near-dup mine over the
-    exact-dedup winners → connected components → anti-join of cluster
-    losers), shared by the one-shot and resumable paths.
-
-    ``keep_text`` rides the survivor TEXT through the anti-join — for
-    composed consumers (``pretrain_export``'s decontaminate + pack
-    stages) that would otherwise pay a re-fetch join. The loser side
-    of the anti-join still moves only (doc_id, flag) rows; text rides
-    the LEFT stream, which the join never dict-materializes."""
-    import pyarrow.compute as pc
-
-    from ..stages.joins import bucket_lookup_join
-
-    pairs = _minhash_pairs_ds(
-        sf_dir,
-        num_perm=num_perm,
-        bands=bands,
-        jaccard_threshold=jaccard_threshold,
-        on_degenerate=on_degenerate,
-        docs_ds=winners.select_columns(["doc_id", "text"]),
-    )
-    labels = _pair_graph_labels(pairs, max_iter, num_buckets, method)
-
-    out_cols = (
-        ["doc_id", "text", "n_words"] if keep_text else ["doc_id", "n_words"]
-    )
-    kept_cols = winners.select_columns(out_cols)
-    if labels is None:
-        return kept_cols
-
-    def loser_rows(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.less(batch["label"], batch["node"]))
-        return pa.table(
-            {
-                "doc_id": t["node"],
-                "dup": pa.array(np.ones(t.num_rows, dtype=np.int8), pa.int8()),
-            }
-        )
-
-    left_fields = [("doc_id", pa.int64())]
-    if keep_text:
-        left_fields.append(("text", pa.string()))
-    left_fields.append(("n_words", pa.int64()))
-
-    losers = labels.map_batches(loser_rows, batch_format="pyarrow")
-    joined = bucket_lookup_join(
-        kept_cols, losers, on="doc_id", right_key="doc_id",
-        payload={"dup": "dup"},
-        left_schema=pa.schema(left_fields),
-        payload_types={"dup": pa.int8()},
-        num_buckets=num_buckets, how="left",
-    )
-
-    def keep_unflagged(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.is_null(batch["dup"]))
-        return t.select(out_cols)
-
-    return joined.map_batches(keep_unflagged, batch_format="pyarrow")
-
-
-def curate_documents(sf_dir: str, **kw) -> pd.DataFrame:
-    """Pandas shim over :func:`curate_documents_ds` (oracle-gate
-    contract)."""
-    out = curate_documents_ds(sf_dir, **kw).to_pandas()
-    if out.empty:
-        out = pd.DataFrame(
-            {"doc_id": pd.Series([], dtype="int64"),
-             "n_words": pd.Series([], dtype="int64")}
-        )
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -2237,8 +1895,7 @@ def simhash_dup_pairs(
             }
         )
 
-    from ..stages.joins import NO_FUSE_NUM_CPUS
-    from ..stages.shuffle import distinct_pairs_ds
+    from ..stages.shuffle import NO_FUSE_NUM_CPUS, distinct_pairs_ds
 
     raw_pairs = (
         simhash_documents(sf_dir)
@@ -2255,628 +1912,3 @@ def simhash_dup_pairs(
     if out.count() == 0:
         return ray.data.from_arrow(_EMPTY_HAMMING_TABLE)
     return out
-
-
-def gopher_quality_documents(sf_dir: str) -> "ray.data.Dataset":
-    """Gopher-style repetition/format quality rules (Rae et al. 2021,
-    §A1.1 — the standard webtext filter family next to the length/
-    punctuation signals in ``doc_quality``): symbol-to-word ratio,
-    bullet-line fraction, ellipsis-line fraction, word-count bounds,
-    and the combined pass flag. Ratios are computed with definitions a
-    DuckDB oracle reproduces exactly (see ``oracle_sql``)."""
-    import numpy as np
-    import pyarrow.compute as pc
-
-    from ..functions.rounding import round_half_away as _round
-
-    def f(batch: pa.Table) -> pa.Table:
-        text = batch["text"]
-        # every signal is ONE Arrow kernel over the whole batch; the
-        # r2 per-row loop (findall + per-line Python scans) left ~5-20×
-        # on the table (VERDICT r2 "what's wrong" #3)
-        n_words = pc.count_substring_regex(text, _TOKEN_PAT).to_numpy(
-            zero_copy_only=False
-        ).astype(np.float64)
-        n_sym = pc.add(
-            pc.count_substring(text, "#"), pc.count_substring(text, "...")
-        ).to_numpy(zero_copy_only=False)
-        # lines = newline count + 1 (str.split("\n") semantics);
-        # bullet lines: (?m)^[ \t]*[-*]; ellipsis lines: (?m)\.\.\.$
-        n_lines = (
-            pc.count_substring(text, "\n").to_numpy(zero_copy_only=False)
-            + 1.0
-        )
-        n_bullet = pc.count_substring_regex(
-            text, r"(?m)^[ \t]*[-*]"
-        ).to_numpy(zero_copy_only=False)
-        n_ellip = pc.count_substring_regex(
-            text, r"(?m)\.\.\.$"
-        ).to_numpy(zero_copy_only=False)
-
-        sym_ratio = np.where(
-            n_words > 0, _round(n_sym / np.maximum(n_words, 1.0), 6), 0.0
-        )
-        bullet_frac = _round(n_bullet / n_lines, 6)
-        ellip_frac = _round(n_ellip / n_lines, 6)
-        ok = (
-            (n_words >= 50)
-            & (n_words <= 100_000)
-            & (sym_ratio <= 0.1)
-            & (bullet_frac <= 0.9)
-            & (ellip_frac <= 0.3)
-        )
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "n_words": pa.array(n_words.astype(np.int64), pa.int64()),
-                "symbol_word_ratio": pa.array(sym_ratio, pa.float64()),
-                "bullet_line_frac": pa.array(bullet_frac, pa.float64()),
-                "ellipsis_line_frac": pa.array(ellip_frac, pa.float64()),
-                "gopher_pass": pa.array(ok, pa.bool_()),
-            }
-        )
-
-    return _read(sf_dir, ["doc_id", "text"]).map_batches(f, batch_format="pyarrow")
-
-
-def repetition_stats_documents(sf_dir: str) -> "ray.data.Dataset":
-    """Gopher-style repetition signals: fraction of lines that are
-    duplicates of an earlier line, and the share of lines taken by the
-    single most-repeated line — the cheap structural-repetition filter
-    next to ``gopher_quality_documents``'s format rules. Exact DuckDB
-    oracle (list_distinct + per-line mode via groupby)."""
-    import numpy as np
-    import pyarrow.compute as pc
-
-    from ..functions.rounding import round_half_away as _round
-
-    def f(batch: pa.Table) -> pa.Table:
-        # vectorized line stats (r2 verdict #3: the per-row Counter
-        # loop): ONE Arrow split over the batch, then batch-wide C
-        # groupbys on (row, line) — no Python per row. All lines stay
-        # LOCAL to their batch; nothing crosses an exchange.
-        lines = pc.split_pattern(batch["text"], "\n").combine_chunks()
-        n_lines = np.diff(lines.offsets.to_numpy()).astype(np.float64)
-        row_idx = np.repeat(np.arange(len(lines)), n_lines.astype(np.int64))
-        df = pd.DataFrame(
-            {"r": row_idx, "line": lines.values.to_pandas()}
-        )
-        per_line = df.groupby(["r", "line"], sort=False).size()
-        by_row = per_line.groupby(level="r")
-        n_distinct = by_row.size().reindex(
-            np.arange(len(lines)), fill_value=0
-        ).to_numpy(dtype=np.float64)
-        top = by_row.max().reindex(
-            np.arange(len(lines)), fill_value=0
-        ).to_numpy(dtype=np.float64)
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "dup_line_frac": pa.array(
-                    _round(1.0 - n_distinct / n_lines, 6), pa.float64()
-                ),
-                "top_line_frac": pa.array(
-                    _round(top / n_lines, 6), pa.float64()
-                ),
-            }
-        )
-
-    return _read(sf_dir, ["doc_id", "text"]).map_batches(f, batch_format="pyarrow")
-
-
-def decontaminate_documents(
-    sf_dir: str, bench_max_doc_id: int = 20, n: int = 5
-) -> "ray.data.Dataset":
-    """Benchmark decontamination (the GPT-3/Llama eval-overlap filter):
-    flag every corpus document sharing ANY lowercase word ``n``-gram
-    with the benchmark set (here: docs with ``doc_id <
-    bench_max_doc_id`` stand in for a held-out eval set). The benchmark
-    grams are broadcast once via ``ray.put`` — benchmark sets are small
-    by definition, so the broadcast side is bounded at any corpus
-    scale; each batch checks membership vectorized-per-doc. DuckDB
-    oracle builds the identical gram sets with list comprehensions."""
-    import pyarrow.parquet as pq_
-
-    from ..functions.textops import tokens_lower
-
-    def grams_of(text: str) -> set:
-        toks = tokens_lower(text)
-        if len(toks) < n:
-            return set()
-        return {
-            " ".join(toks[i : i + n]) for i in range(len(toks) - n + 1)
-        }
-
-    bench_tbl = pq_.read_table(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-        filters=[("doc_id", "<", bench_max_doc_id)],
-    )
-    bench: set = set()
-    for t in bench_tbl["text"].to_pylist():
-        bench |= grams_of(t)
-    bench_ref = ray.put(bench)
-
-    class Checker:
-        def __init__(self):
-            self.bench = ray.get(bench_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            flags = [
-                not self.bench.isdisjoint(grams_of(t))
-                for t in batch["text"].to_pylist()
-            ]
-            return pa.table(
-                {
-                    "doc_id": batch["doc_id"],
-                    "contaminated": pa.array(flags, pa.bool_()),
-                }
-            )
-
-    import pyarrow.dataset as pads
-
-    return (
-        sized_read_parquet(
-            os.path.join(sf_dir, "documents.parquet"),
-            columns=["doc_id", "text"],
-            filter=pads.field("doc_id") >= bench_max_doc_id,
-        )
-        .map_batches(Checker, batch_format="pyarrow",
-                     concurrency=(1, 4), num_cpus=0.5)
-    )
-
-
-# ------------------------------------------- per-source document cap ----
-def cap_per_source(sf_dir: str, n: int = 10) -> pd.DataFrame:
-    """Per-domain contribution cap (the Common-Crawl curation rule that
-    no single host dominates the corpus): keep the ``n`` longest
-    documents per ``source`` (``n_chars`` stands in for any quality
-    score), ties broken by ``doc_id``. Combiner-first so key skew
-    cannot blow up the exchange: each batch first reduces to its LOCAL
-    top-``n`` per source, so a mega-host (the Apple/Samsung analog of
-    the KG link stage) contributes at most ``n × n_batches`` rows to
-    the shuffle instead of its full document count, and every reducer
-    sees bounded input regardless of skew."""
-
-    def local_cap(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df = df.sort_values(["n_chars", "doc_id"], ascending=[False, True])
-        return pa.Table.from_pandas(
-            df.groupby("source", sort=False).head(n), preserve_index=False
-        )
-
-    def final_cap(g: pd.DataFrame) -> pd.DataFrame:
-        return (
-            g.sort_values(["n_chars", "doc_id"], ascending=[False, True])
-            .head(n)
-        )
-
-    from ..stages.joins import NO_FUSE_NUM_CPUS
-
-    out = (
-        _read(sf_dir, ["doc_id", "source", "n_chars"])
-        .map_batches(local_cap, batch_format="pyarrow")
-        .groupby("source")
-        # whole-group semantics: head(n) over a PARTIAL group would
-        # over-keep — num_cpus blocks map-op fusion (stages/joins.py)
-        .map_groups(final_cap, batch_format="pandas",
-                    num_cpus=NO_FUSE_NUM_CPUS)
-        .to_pandas()
-    )
-    return (
-        out[["doc_id", "source", "n_chars"]]
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-
-
-# --------------------------------------- token-offset sequence packing --
-def pack_token_offsets(
-    sf_dir: str, seq_len: int = 512, num_buckets: int | None = None
-) -> pd.DataFrame:
-    """Training-export packing layout (the GPT-style concat-and-chunk):
-    documents are concatenated in ``doc_id`` order and cut into fixed
-    ``seq_len``-token blocks; per document emit its global token offset
-    and the chunk range it lands in. The global EXCLUSIVE prefix sum is
-    computed distributed, never on the driver: (1) one vectorized pass
-    counts tokens per doc (RE2 ``\\S+``, same kernel as
-    ``token_counts``); (2) docs bucket by ``doc_id`` range so bucket
-    order equals document order; (3) per-bucket token totals — one row
-    per bucket — reduce to a tiny base-offset map shipped in the group
-    fn's closure; (4) each bucket sorts locally and cumsums. The
-    shuffle moves one 3-int row per document (never text), and no
-    stage materializes more than ``num_buckets`` rows on the driver."""
-    num_buckets = exchange_fanout(num_buckets, floor=32)
-    import pyarrow.compute as pc
-
-    def counts(batch: pa.Table) -> pa.Table:
-        ntok = pc.count_substring_regex(batch["text"], _TOKEN_PAT)
-        return pa.table(
-            {"doc_id": batch["doc_id"], "n_tokens": ntok.cast(pa.int64())}
-        )
-
-    counted = (
-        _read(sf_dir, ["doc_id", "text"])
-        .map_batches(counts, batch_format="pyarrow")
-        .materialize()
-    )
-    return (
-        _pack_offsets_from_counts(counted, seq_len, num_buckets)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-
-
-def _pack_offsets_from_counts(
-    counted: "ray.data.Dataset", seq_len: int, num_buckets: int
-) -> "ray.data.Dataset":
-    """The distributed exclusive-prefix-sum packing core over a
-    MATERIALIZED (doc_id, n_tokens) Dataset — shared by
-    :func:`pack_token_offsets` (whole corpus, driver-collected for the
-    gate) and :func:`pretrain_export` / the resumable
-    ``run.pretrain_export_partitioned`` (which WRITES the export
-    manifest — at corpus scale the per-doc offsets table is itself
-    corpus-sized and must never be driver-collected)."""
-    lo = counted.min("doc_id")
-    hi = counted.max("doc_id")
-    span = max(1, (hi - lo) // num_buckets + 1)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        b = (
-            (batch["doc_id"].to_numpy(zero_copy_only=False) - lo) // span
-        ).astype(np.int32)
-        return batch.append_column("b", pa.array(b, pa.int32()))
-
-    bucketed = counted.map_batches(add_bucket, batch_format="pyarrow")
-
-    totals = (
-        bucketed.groupby("b")
-        .aggregate(Sum("n_tokens", alias_name="tot"))
-        .to_pandas()
-        .sort_values("b")
-    )
-    base: dict = {}
-    acc = 0
-    for _, r in totals.iterrows():
-        base[int(r["b"])] = acc
-        acc += int(r["tot"])
-
-    def bucket_offsets(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("doc_id").reset_index(drop=True)
-        nt = g["n_tokens"].to_numpy(np.int64)
-        start = base[int(g["b"].iloc[0])] + np.cumsum(nt) - nt
-        first = start // seq_len
-        last = np.where(nt > 0, (start + nt - 1) // seq_len, first)
-        return pd.DataFrame(
-            {
-                "doc_id": g["doc_id"].to_numpy(np.int64),
-                "n_tokens": nt,
-                "start_tok": start.astype(np.int64),
-                "first_chunk": first.astype(np.int64),
-                "n_chunks": np.where(nt > 0, last - first + 1, 0).astype(
-                    np.int64
-                ),
-            }
-        )
-
-    from ..stages.joins import NO_FUSE_NUM_CPUS
-
-    return (
-        bucketed.groupby("b")
-        # whole-group semantics: a cumsum over a PARTIAL bucket would
-        # drop earlier docs' tokens from the offset — num_cpus blocks
-        # map-op fusion (stages/joins.py NO_FUSE_NUM_CPUS rationale)
-        .map_groups(bucket_offsets, batch_format="pandas",
-                    num_cpus=NO_FUSE_NUM_CPUS)
-        .map_batches(
-            lambda b: b.select(
-                ["doc_id", "n_tokens", "start_tok", "first_chunk",
-                 "n_chunks"]
-            ),
-            batch_format="pyarrow",
-        )
-    )
-
-
-# ----------------------------------------- hash-based domain mixing -----
-def resample_by_source_ds(sf_dir: str) -> "ray.data.Dataset":
-    """Domain-mixing resample (the DoReMi/data-mixture curation step):
-    down-sample each ``source`` to a target weight with a STATELESS
-    keep decision — a document survives iff the md5 fraction of
-    ``mix-42|doc_id`` falls below its source's weight. Pure function of
-    the row: no broadcast sampling state, no shuffle, no dependence on
-    block boundaries, and the same doc survives in every rerun and at
-    every parallelism (the property reservoir/random sampling lacks).
-    Default weight rule (SQL-expressible so the oracle is exact):
-    sources ending in digit ``d`` keep fraction ``(d+1)/10`` — stand-in
-    for a real per-domain mixture table, which at scale ships the same
-    way (a pure row function or a tiny broadcast dict)."""
-    import hashlib
-
-    def keep(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_pylist()
-        srcs = batch["source"].to_pylist()
-        mask = []
-        for d, s in zip(ids, srcs):
-            # ASCII-only gate (ADVICE r2): str.isdigit accepts Unicode
-            # digits ('٣' takes the weight path, '²' crashes int()),
-            # while the oracle's BETWEEN '0' AND '9' is ASCII — gate on
-            # the exact ASCII set so engine and oracle agree on any
-            # source string
-            tail = s[-1] if s and s[-1] in "0123456789" else None
-            w = (int(tail) + 1) / 10.0 if tail is not None else 1.0
-            h = int(
-                hashlib.md5(f"mix-42|{d}".encode("utf-8")).hexdigest()[:8],
-                16,
-            )
-            mask.append(h < w * 4294967296.0)
-        return batch.filter(pa.array(mask, pa.bool_()))
-
-    return (
-        _read(sf_dir, ["doc_id", "source"])
-        .map_batches(keep, batch_format="pyarrow")
-    )
-
-
-def resample_by_source(sf_dir: str) -> pd.DataFrame:
-    """Pandas shim over :func:`resample_by_source_ds` (oracle gate)."""
-    out = resample_by_source_ds(sf_dir).to_pandas()
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-# --------------------------------- DSIR importance scoring ---------------
-def dsir_importance_documents_ds(
-    sf_dir: str,
-    target_sources: tuple[str, ...] = ("src1", "src2", "src3"),
-    num_feature_buckets: int = 1024,
-) -> "ray.data.Dataset":
-    """DSIR-style hashed-n-gram importance scores (Xie et al. 2023,
-    "Data Selection for Language Models via Importance Resampling"):
-    score each document by how much its token distribution looks like
-    a TARGET domain (here: the ``target_sources`` subset of the
-    corpus) relative to the raw corpus — the importance-resampling
-    selector production LLM pipelines run between dedup and packing.
-
-    Features are tokens hashed into ``num_feature_buckets`` buckets
-    (the shared md5-64 hash, so the whole operator is SQL-expressible);
-    per-bucket log10 ratios of add-1-smoothed target vs raw
-    probabilities are quantized to integer 1e-6 units (the
-    unigram_logprob pattern), and a document's score is the exact
-    integer sum of its token occurrences' bucket weights.
-
-    Scale shape — CHEAPER than unigram_logprob because the feature
-    space is bounded by construction:
-      1. counts pass: map-only per-batch partials (≤ B rows per batch,
-         two int64 count columns) → one tiny groupby over ≤ B keys;
-      2. the B-row weight table is folded on the driver (bounded by
-         definition, like the decontamination benchmark set) and
-         ``ray.put`` BROADCAST — never a shuffle join;
-      3. score pass: MAP-ONLY — each doc's score needs only its own
-         tokens and the broadcast weights. No exchange at all.
-    At 10^12 docs the operator is two streaming scans and one B-row
-    aggregate. Zero-token docs have no score and are omitted (SQL
-    parity: they produce no token rows)."""
-    from ray.data.aggregate import Sum as _Sum
-
-    B = num_feature_buckets
-    targets = frozenset(target_sources)
-
-    def _bucket_ids(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """All docs' token bucket ids (flat) + per-doc token counts,
-        vectorized (r3 ADVICE): one batch-level tokenize, md5 computed
-        once per DISTINCT token in the batch (np.unique + inverse —
-        Zipf makes distinct ≪ total), modulo as one numpy op."""
-        flat, counts = textops.tokens_lower_batch(texts)
-        if len(flat) == 0:
-            return np.zeros(0, dtype=np.int64), counts
-        # hash-based dedup (pd.factorize), NOT np.unique: sorting an
-        # object array is Python-comparison-bound and measured 2-3×
-        # slower than the factorize hash pass at sf0.1
-        codes, uniq = pd.factorize(flat)
-        ub = np.fromiter(
-            (_md5_64(t) % B for t in uniq), dtype=np.int64, count=len(uniq)
-        )
-        return ub[codes], counts
-
-    def partial_counts(batch: pa.Table) -> pa.Table:
-        bs, counts = _bucket_ids(batch["text"].to_pylist())
-        is_target = np.fromiter(
-            (s in targets for s in batch["source"].to_pylist()),
-            dtype=bool,
-            count=batch.num_rows,
-        )
-        tok_target = np.repeat(is_target, counts)
-        ns = np.bincount(bs, minlength=B)
-        nt = np.bincount(bs[tok_target], minlength=B)
-        nz = np.flatnonzero(ns)
-        return pa.table(
-            {
-                "b": pa.array(nz.astype(np.int64), pa.int64()),
-                "n_t": pa.array(nt[nz], pa.int64()),
-                "n_s": pa.array(ns[nz], pa.int64()),
-            }
-        )
-
-    counts = (
-        _read(sf_dir, ["source", "text"], fanout=True)
-        .map_batches(partial_counts, batch_format="pyarrow")
-        .groupby("b")
-        .aggregate(_Sum("n_t", alias_name="n_t"), _Sum("n_s", alias_name="n_s"))
-        .to_pandas()
-    )
-    ct = np.zeros(B, dtype=np.int64)
-    cs = np.zeros(B, dtype=np.int64)
-    if len(counts):
-        ct[counts["b"].to_numpy()] = counts["n_t"].to_numpy()
-        cs[counts["b"].to_numpy()] = counts["n_s"].to_numpy()
-    n_t_total = int(ct.sum())
-    n_s_total = int(cs.sum())
-    # add-1-smoothed log ratio, quantized to integer micro-units.
-    # Operation order mirrors the SQL oracle term for term; the same
-    # log10-ulp platform note as unigram_logprob applies.
-    li = np.floor(
-        np.log10(
-            ((ct + 1).astype(np.float64) / float(n_t_total + B))
-            / ((cs + 1).astype(np.float64) / float(n_s_total + B))
-        )
-        * 1e6
-        + 0.5
-    ).astype(np.int64)
-    li_ref = ray.put(li)
-
-    def score(batch: pa.Table) -> pa.Table:
-        liv = ray.get(li_ref)
-        bs, counts = _bucket_ids(batch["text"].to_pylist())
-        # per-doc exact integer sums via one reduceat over the flat
-        # weight vector; zero-token docs are dropped (SQL parity)
-        nonzero = counts > 0
-        offsets = np.zeros(len(counts), dtype=np.int64)
-        np.cumsum(counts[:-1], out=offsets[1:])
-        if len(bs):
-            sums = np.add.reduceat(liv[bs], offsets[nonzero])
-        else:
-            sums = np.zeros(0, dtype=np.int64)
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"].filter(pa.array(nonzero)),
-                "micro_logratio": pa.array(sums, pa.int64()),
-            }
-        )
-
-    return _read(sf_dir, ["doc_id", "text"], fanout=True).map_batches(
-        score, batch_format="pyarrow"
-    )
-
-
-def dsir_importance_documents(sf_dir: str, **kw) -> pd.DataFrame:
-    """Pandas shim over :func:`dsir_importance_documents_ds` (oracle
-    gate)."""
-    out = dsir_importance_documents_ds(sf_dir, **kw).to_pandas()
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-# ------------------------------ composed pretraining-data export --------
-def pretrain_export(
-    sf_dir: str,
-    seq_len: int = 512,
-    bench_max_doc_id: int = 20,
-    n: int = 5,
-    on_degenerate: str = "star",
-    num_buckets: int | None = None,
-) -> pd.DataFrame:
-    """The composed TRAINING-EXPORT flagship — the text-side analog of
-    ``kg.kg_from_crawl``: the full C4/RefinedWeb curation chain
-    (:func:`curate_documents_ds`: lang+quality gate → exact dedup →
-    MinHash components → keep-one-representative), then benchmark
-    DECONTAMINATION over the survivors (the GPT-3/Llama eval-overlap
-    rule — any shared lowercase word ``n``-gram with the held-out set
-    drops the doc; the eval docs themselves never enter the export),
-    then the GPT-style concat-and-chunk PACKING layout
-    (:func:`_pack_offsets_from_counts`: distributed exclusive prefix
-    sum, shuffle moves one 3-int row per survivor). One streaming
-    composition; the only text-shipping exchange is curation's exact
-    dedup, survivors carry text once (``keep_text=True`` — no re-fetch
-    join), and the DuckDB oracle composes the three stage oracles
-    VERBATIM (curate CTEs + the decontaminate gram CTE + the pack
-    window), so every stage boundary sits under one hash signal.
-
-    Output: (doc_id, n_tokens, start_tok, first_chunk, n_chunks) per
-    exported document — the manifest a sequence-packing loader
-    consumes."""
-    survivors = curate_documents_ds(
-        sf_dir, on_degenerate=on_degenerate, keep_text=True
-    )
-    out = _export_tail(
-        survivors, sf_dir, seq_len, bench_max_doc_id, n, num_buckets
-    )
-    if out is None:
-        return pd.DataFrame(
-            {
-                c: pd.Series([], dtype="int64")
-                for c in (
-                    "doc_id", "n_tokens", "start_tok", "first_chunk",
-                    "n_chunks",
-                )
-            }
-        )
-    return out.to_pandas().sort_values("doc_id").reset_index(drop=True)
-
-
-def _export_tail(
-    survivors: "ray.data.Dataset",
-    sf_dir: str,
-    seq_len: int,
-    bench_max_doc_id: int,
-    n: int,
-    num_buckets: int | None,
-) -> "ray.data.Dataset | None":
-    """Decontaminate + pack over a (doc_id, text, n_words) survivor
-    Dataset — the export stages shared by the one-shot
-    :func:`pretrain_export` and the resumable
-    ``run.pretrain_export_partitioned``. Returns the lazy per-doc
-    offsets Dataset (corpus-sized at scale — callers write or, at gate
-    scale, collect), or None when nothing survives."""
-    num_buckets = exchange_fanout(num_buckets, floor=32)
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq_
-
-    from ..functions.textops import tokens_lower
-
-    # benchmark gram set: built ONCE from the (small) eval stand-in,
-    # broadcast via ray.put (the decontaminate_documents kernel)
-    def grams_of(text: str) -> set:
-        toks = tokens_lower(text)
-        if len(toks) < n:
-            return set()
-        return {
-            " ".join(toks[i : i + n]) for i in range(len(toks) - n + 1)
-        }
-
-    bench_tbl = pq_.read_table(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-        filters=[("doc_id", "<", bench_max_doc_id)],
-    )
-    bench: set = set()
-    for t in bench_tbl["text"].to_pylist():
-        bench |= grams_of(t)
-    bench_ref = ray.put(bench)
-
-    class CleanCounter:
-        """Drop eval docs + contaminated survivors, count tokens of the
-        rest — one fused map stage, text never leaves it."""
-
-        def __init__(self):
-            self.bench = ray.get(bench_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            keep_ids, n_toks = [], []
-            texts = batch["text"].to_pylist()
-            ids = batch["doc_id"].to_pylist()
-            ntok = (
-                pc.count_substring_regex(batch["text"], _TOKEN_PAT)
-                .cast(pa.int64())
-                .to_pylist()
-            )
-            for doc_id, text, nt in zip(ids, texts, ntok):
-                if doc_id < bench_max_doc_id:
-                    continue
-                if not self.bench.isdisjoint(grams_of(text)):
-                    continue
-                keep_ids.append(doc_id)
-                n_toks.append(nt)
-            return pa.table(
-                {
-                    "doc_id": pa.array(keep_ids, pa.int64()),
-                    "n_tokens": pa.array(n_toks, pa.int64()),
-                }
-            )
-
-    counted = survivors.map_batches(
-        CleanCounter, batch_format="pyarrow", concurrency=(1, 4),
-        num_cpus=0.5,
-    ).materialize()
-    if counted.count() == 0:
-        return None
-    return _pack_offsets_from_counts(counted, seq_len, num_buckets)

@@ -199,7 +199,7 @@ def doc_majority_labels(examples: "ray.data.Dataset") -> "ray.data.Dataset":
             }
         )
 
-    from ..stages.joins import NO_FUSE_NUM_CPUS
+    from ..stages.shuffle import NO_FUSE_NUM_CPUS
 
     return (
         examples.select_columns(["url", "relations"])

@@ -216,7 +216,7 @@ def url_keep_latest_pages_ds(
     import ray.data
 
     from ..config import exchange_fanout
-    from ..stages.joins import NO_FUSE_NUM_CPUS
+    from ..stages.shuffle import NO_FUSE_NUM_CPUS
 
     num_buckets = exchange_fanout(num_buckets)
     payload = ["text"] if columns is None else list(columns)
@@ -366,7 +366,7 @@ def _fold_state(ds: "object") -> "object":
     """(url, n_dups, last_ts, shard) rows → one folded row per url,
     grouped by shard (per-group overhead paid per shard, the merge
     inside is one vectorized pandas aggregation)."""
-    from ..stages.joins import NO_FUSE_NUM_CPUS
+    from ..stages.shuffle import NO_FUSE_NUM_CPUS
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby(["shard", "url"], as_index=False, sort=False).agg(

@@ -32,23 +32,10 @@ from pandas import isna as pd_isna
 
 import ray.data
 
+from .shuffle import NO_FUSE_NUM_CPUS
+
 _BUCKET = "__jbucket"
 _SIDE = "__jside"
-
-# Fusion blocker for whole-group map_groups stages. Ray 2.49's operator
-# fusion will fuse a map_groups-generated map op with a downstream map
-# op when their remote args are compatible, and the fused stage
-# re-bundles the SORTED input blocks before the group fn runs — the fn
-# then sees PARTIAL groups. Any group fn that needs the whole group
-# (this hash join; dedup merges; per-group argmax) silently corrupts:
-# reproduced on ngram_jaccard_pairs at sf0.1, where ~1 run in 5 lost
-# 98% of join rows (inner-join left rows split from their right rows).
-# A non-default num_cpus makes `_are_remote_args_compatible` fail
-# (canonicalized 0.99 != 1), so fusion is skipped and each call gets a
-# whole sorted block, 8/8 stable. The 0.01-CPU difference is
-# scheduling noise. (The KG actor stages were never affected — their
-# num_cpus=0.5 blocked fusion already.)
-NO_FUSE_NUM_CPUS = 0.99
 
 
 def _bucket_np(col, num_buckets: int):

@@ -38,6 +38,21 @@ import pyarrow as pa
 
 import ray.data
 
+# Fusion blocker for whole-group map_groups stages. Ray 2.49's operator
+# fusion will fuse a map_groups-generated map op with a downstream map
+# op when their remote args are compatible, and the fused stage
+# re-bundles the SORTED input blocks before the group fn runs — the fn
+# then sees PARTIAL groups. Any group fn that needs the whole group
+# (hash joins; dedup merges; per-group argmax) silently corrupts:
+# reproduced on ngram_jaccard_pairs at sf0.1, where ~1 run in 5 lost
+# 98% of join rows (inner-join left rows split from their right rows).
+# A non-default num_cpus makes `_are_remote_args_compatible` fail
+# (canonicalized 0.99 != 1), so fusion is skipped and each call gets a
+# whole sorted block, 8/8 stable. The 0.01-CPU difference is
+# scheduling noise. (The KG actor stages were never affected — their
+# num_cpus=0.5 blocked fusion already.)
+NO_FUSE_NUM_CPUS = 0.99
+
 SENTENCE_IDS_CAP = 64
 
 # payload columns (merged when present); anything else non-key is dropped
@@ -220,7 +235,6 @@ def salted_dedup(
     ``config.exchange_fanout()`` (resolved at plan time) so reducer
     parallelism scales with the cluster instead of capping at 64."""
     from ..config import exchange_fanout
-    from .joins import NO_FUSE_NUM_CPUS
 
     num_buckets = exchange_fanout(num_buckets)
     partial = ds.map_batches(
@@ -252,7 +266,7 @@ def salted_dedup(
     # to in Ray 2.49, minus its per-group UDF call. num_cpus blocks
     # downstream-map fusion: a fused map re-bundles the sorted blocks
     # and the merge fn would see partial buckets → duplicate keys
-    # (stages/joins.py NO_FUSE_NUM_CPUS rationale).
+    # (NO_FUSE_NUM_CPUS rationale above).
     return (
         partial.map_batches(add_bucket, batch_format="pyarrow")
         .sort("__dbucket")
@@ -285,7 +299,6 @@ def distinct_pairs_ds(
     import pandas as pd
 
     from ..config import exchange_fanout
-    from .joins import NO_FUSE_NUM_CPUS
 
     num_buckets = exchange_fanout(num_buckets, floor=32)
     h1, h2 = np.uint64(_PAIR_H1), np.uint64(_PAIR_H2)
@@ -328,7 +341,6 @@ def bucketed_sum_ds(
     import pandas as pd
 
     from ..config import exchange_fanout
-    from .joins import NO_FUSE_NUM_CPUS
 
     num_buckets = exchange_fanout(num_buckets)
 
@@ -367,7 +379,6 @@ def distinct_pair_ids_ds(
     import pandas as pd
 
     from ..config import exchange_fanout
-    from .joins import NO_FUSE_NUM_CPUS
 
     num_buckets = exchange_fanout(num_buckets, floor=32)
     h1 = np.uint64(_PAIR_H1)

@@ -27,7 +27,7 @@ TABLES = [
 ]
 
 # one query per exchange family:
-#   salted_dedup / curate hb        -> curate_documents, dedup_exact
+#   combiner + groupby(text_hash)   -> dedup_exact
 #   minhash / simhash / ngram coarse-> minhash_dup_pairs, simhash_dup_pairs,
 #                                      ngram_jaccard_pairs
 #   component label propagation     -> dup_clusters
@@ -37,10 +37,7 @@ TABLES = [
 #   %nb user windows                -> events_rolling, user_sessions
 #   asof bucket exchange            -> events_asof_join
 #   relational bucket join          -> segment_order_stats_bucket_join
-#   driver range buckets            -> pack_token_offsets
 BUCKETED_QUERIES = [
-    "pretrain_export",
-    "curate_documents",
     "dedup_exact",
     "minhash_dup_pairs",
     "simhash_dup_pairs",
@@ -54,7 +51,6 @@ BUCKETED_QUERIES = [
     "user_sessions",
     "events_asof_join",
     "segment_order_stats_bucket_join",
-    "pack_token_offsets",
 ]
 
 

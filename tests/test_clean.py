@@ -77,103 +77,3 @@ def test_redact_pii_planted_parity():
     assert engine[1] == "server at [IP] logged 40 hits"
     assert engine[2] == texts[2]
     assert engine[3] == "mixed: [EMAIL], [IP] and [PHONE]."
-
-
-def test_gopher_rules_planted_parity(tmp_path):
-    """Planted bullets/ellipses/symbols must move the rule columns (the
-    sf corpus may not exercise them) and the engine must equal the
-    DuckDB oracle on every column."""
-    import duckdb
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    import __ray_entry__ as entry
-    from finance_sc_relations_ray.pipelines.text import (
-        gopher_quality_documents,
-    )
-
-    texts = [
-        "- item one\n- item two\n * star\nplain line",
-        "wait...\nmore...\nnot here\nend...",
-        "#tag #tag2 " + "word " * 60 + "### x...y",
-        "short",
-        ("good text with plenty of words here " * 3 + "\n") * 5,
-    ]
-    pq.write_table(
-        pa.table(
-            {"doc_id": pa.array(range(5), pa.int64()),
-             "text": pa.array(texts)}
-        ),
-        str(tmp_path / "documents.parquet"),
-    )
-    got = (
-        gopher_quality_documents(str(tmp_path))
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    con = duckdb.connect()
-    con.execute(
-        "CREATE VIEW documents AS SELECT * FROM "
-        f"read_parquet('{tmp_path}/documents.parquet')"
-    )
-    exp = (
-        con.execute(entry.oracle_sql()["gopher_quality_documents"])
-        .fetchdf()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    for c in exp.columns:
-        assert got[c].tolist() == exp[c].tolist(), c
-    # the rules actually fired
-    assert got["bullet_line_frac"][0] == 0.75
-    assert got["ellipsis_line_frac"][1] == 0.75
-    assert got["symbol_word_ratio"][2] > 0.09
-    assert got["gopher_pass"].tolist() == [False, False, True, False, True]
-
-
-def test_repetition_stats_planted_parity(tmp_path):
-    """Planted repeated lines must move both fractions and match the
-    DuckDB oracle exactly."""
-    import duckdb
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    import __ray_entry__ as entry
-    from finance_sc_relations_ray.pipelines.text import (
-        repetition_stats_documents,
-    )
-
-    texts = [
-        "same\nsame\nsame\nother",       # dup 0.5 (2 uniq of 4), top 0.75
-        "a\nb\nc\nd",                     # no repetition
-        "x\nx",                           # fully modal
-    ]
-    pq.write_table(
-        pa.table(
-            {"doc_id": pa.array(range(3), pa.int64()),
-             "text": pa.array(texts)}
-        ),
-        str(tmp_path / "documents.parquet"),
-    )
-    got = (
-        repetition_stats_documents(str(tmp_path))
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    con = duckdb.connect()
-    con.execute(
-        "CREATE VIEW documents AS SELECT * FROM "
-        f"read_parquet('{tmp_path}/documents.parquet')"
-    )
-    exp = (
-        con.execute(entry.oracle_sql()["repetition_stats_documents"])
-        .fetchdf()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    for c in exp.columns:
-        assert got[c].tolist() == exp[c].tolist(), c
-    assert got["dup_line_frac"].tolist() == [0.5, 0.0, 0.5]
-    assert got["top_line_frac"].tolist() == [0.75, 0.25, 1.0]

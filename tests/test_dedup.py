@@ -119,7 +119,7 @@ def test_ivf_knn_recall_vs_exact():
 
 def test_ngram_jaccard_stable_across_runs_sf01():
     """Regression for the Ray operator-fusion partial-group hazard
-    (stages/joins.py NO_FUSE_NUM_CPUS): before the fix, ~1 run in 5
+    (stages/shuffle.py NO_FUSE_NUM_CPUS): before the fix, ~1 run in 5
     lost 98% of join rows when the bucket join's map_groups fused with
     the downstream finalize map. Three runs at the size that triggered
     it must agree with each other and with DuckDB."""

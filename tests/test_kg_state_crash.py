@@ -124,9 +124,9 @@ STEPS = {
         ),
         "new",
     ),
-    # the publish step into a new dir, rmtree(out_dir) then
-    # os.replace(tmp, out_dir); an in-place merge must not have one
-    # (it used to, and a failure there lost the whole store)
+    # the publish step into a new dir, os.replace(tmp, out_dir); an
+    # in-place merge must not have one (it used to, and a failure there
+    # lost the whole store)
     "replace": (lambda m: m.setattr(os, "replace", _raise), "new"),
 }
 
@@ -176,6 +176,36 @@ def test_failed_merge_leaves_old_or_new_state(world, monkeypatch, step, in_place
         _normalized(K.read_kg_state(out)), world["oracle"][nxt]
     )
     _assert_clean(out)
+
+
+def test_merge_into_existing_out_dir_is_refused(world, monkeypatch):
+    # publishing over an existing store used to delete it first; a
+    # crash in that delete, here after _log/ and one shard dir, left a
+    # store that read without error with rows missing
+    src = str(world["dir"] / "exists_src")
+    out = str(world["dir"] / "exists_out")
+    shutil.copytree(world["base"], src)
+    shutil.copytree(world["base"], out)
+    before = _tree_bytes(out)
+    real_rmtree = shutil.rmtree
+
+    def rmtree(path, *a, **kw):
+        if os.path.abspath(path) != out:
+            return real_rmtree(path, *a, **kw)
+        real_rmtree(os.path.join(path, K._LOG))
+        real_rmtree(os.path.join(path, K._shard_dirs(path)[0]))
+        raise Crash
+
+    with monkeypatch.context() as m:
+        m.setattr(shutil, "rmtree", rmtree)
+        with pytest.raises(FileExistsError):
+            K.update_kg_state(src, world["paths"]["delta"], out)
+        with pytest.raises(FileExistsError):
+            K.build_kg_state(world["paths"]["delta"], out)
+    assert _tree_bytes(out) == before
+    assert not os.path.exists(out + ".tmp")
+    assert not os.path.exists(out + ".empty")
+    pd.testing.assert_frame_equal(K.read_kg_state(out), world["old"])
 
 
 def test_racing_commit_is_refused(world, monkeypatch):

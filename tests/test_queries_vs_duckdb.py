@@ -91,3 +91,35 @@ def test_entry_smoke():
     ds = entry.entry()
     df = _to_df(ds)
     assert len(df) >= 0 and "subj" in df.columns
+
+
+def test_segment_order_stats_drops_orphan_orders(tmp_path):
+    """An order whose customer is missing joins nothing, as in the
+    oracle's inner JOIN: it must be dropped, not fail the lookup."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    pq.write_table(
+        pa.table({
+            "c_custkey": pa.array([1, 2, 3], pa.int64()),
+            "c_mktsegment": ["AUTOMOBILE", "BUILDING", "AUTOMOBILE"],
+        }),
+        str(tmp_path / "customer.parquet"),
+    )
+    pq.write_table(
+        pa.table({
+            "o_custkey": pa.array([1, 2, 3, 99, 1], pa.int64()),
+            "o_totalprice": [10.5, 20.25, 30.0, 1000.0, 4.75],
+        }),
+        str(tmp_path / "orders.parquet"),
+    )
+    c = duckdb.connect()
+    for t in ("customer", "orders"):
+        c.execute(
+            f"CREATE VIEW {t} AS SELECT * FROM "
+            f"read_parquet('{tmp_path}/{t}.parquet')"
+        )
+    exp = _normalize(c.execute(entry.oracle_sql()["segment_order_stats"]).fetchdf())
+    got = _normalize(_to_df(entry.queries()["segment_order_stats"](str(tmp_path))))
+    pd.testing.assert_frame_equal(got, exp, check_dtype=False)
+    assert got["n_orders"].sum() == 4
