@@ -46,7 +46,6 @@ def entry() -> Any:
 def queries() -> dict[str, Callable[[str], Any]]:
     from finance_sc_relations_ray.pipelines import graph as G
     from finance_sc_relations_ray.pipelines import kg_state as KS
-    from finance_sc_relations_ray.pipelines import linkgraph as LG
     from finance_sc_relations_ray.pipelines import mlops as M
     from finance_sc_relations_ray.pipelines import relational as R
     from finance_sc_relations_ray.pipelines import similarity as S
@@ -84,11 +83,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
     # especially the most recently touched ones (r3 verdict #5:
     # sample_documents_weighted / embedding_dup_pairs{,_lsh} /
     # knn_cosine / semantic_prune were SQL-oracled but fell past the
-    # cap). Four long-stable SQL queries whose code paths have an
-    # in-window twin (the epoch as-of/range variants, the two trivial
-    # distincts) are exiled past the cap together with the non-SQL
-    # entries; ALL oracles — in-window or not — still run in
-    # tests/test_queries_vs_duckdb.py each session.
+    # cap). Long-stable SQL queries whose code paths have an
+    # in-window twin (listed at the window's end) are exiled past the
+    # cap together with the non-SQL entries; ALL oracles — in-window
+    # or not — still run in tests/test_queries_vs_duckdb.py each
+    # session.
     return {
         # relational operator suite (SURVEY.md §2.5-2.7 on neutral tables)
         "q1_pricing_summary": R.q1_pricing_summary,
@@ -152,39 +151,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # graph/term analytics (r4): TF-IDF, PMI pair mining, PageRank
         "tfidf_top_terms": G.tfidf_top_terms,
         "token_pmi_pairs": G.token_pmi_pairs,
-        # hyperlink-graph family over ANCHOR-PLANTED pages (r4 late):
-        # deterministic <a href> targets derived 1:1 from doc_id, so
-        # the oracles replay the planting formula — a mis-extracted or
-        # mis-attributed href hash-mismatches (pipelines/linkgraph.py)
-        "host_link_graph": lambda sf_dir: LG.host_link_graph(
-            LG.pages_with_links_parquet_for(sf_dir)
-        ),
-        # anchor-TEXT mining: the off-page entity-alias signal; the
-        # fixture plants gazetteer names as anchor text, the oracle
-        # replays host AND entity formulas (pool names as literals)
-        "anchor_entity_mentions": lambda sf_dir: LG.anchor_entity_mentions(
-            LG.pages_with_links_parquet_for(sf_dir)
-        ),
-        # crawl-scheduling frontier (late r4): priority = host-PageRank
-        # × staleness over the canonical-url state — the composition
-        # that closes the crawl lifecycle (dedup state × link graph →
-        # next crawl). Its oracle embeds the pagerank recursive CTE
-        # VERBATIM (_PR_CTES), so the rotated-out host_pagerank stays
-        # transitively under the hard hash-match signal
-        "crawl_frontier": lambda sf_dir: LG.crawl_frontier(
-            LG.pages_with_links_parquet_for(sf_dir)
-        ),
-        # distributed triangle count (degree-ordered compact-forward;
-        # oracle = three-way self-join over the planted edges)
-        "triangle_count": lambda sf_dir: LG.triangle_count(
-            LG.pages_with_links_parquet_for(sf_dir)
-        ),
-        # HITS hubs & authorities: integer-exact alternating half-steps
-        # with a FIXED deg_max·scale normalizer; oracle replays formula
-        # and recurrence bit-for-bit
-        "host_hits": lambda sf_dir: LG.host_hits(
-            LG.pages_with_links_parquet_for(sf_dir)
-        ),
         # sharded inverted index (posting lists; doc-id shard key
         # bounds every reducer to ~df/n_shards by construction)
         "inverted_index": G.inverted_index,
@@ -207,39 +173,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # the oracle replays the plant with the frozen pair pool and
         # each pair's company-DB rgid as literals (pipelines/kg.py)
         "alias_items_planted": KGC.alias_items_planted,
-        # incremental rank state (r5, r4 verdict #2-missing): base
-        # link-crawl state + delta through the shard-pruned edge merge
-        # and rank refresh — same recursive-CTE oracle as the one-shot
-        # host_pagerank (update == rebuild by edge-fold associativity)
-        "host_pagerank_state": LG.host_pagerank_state,
         "ngram_jaccard_pairs": T.ngram_jaccard_pairs,
         "heavy_hitter_tokens": T.heavy_hitter_tokens,
-        # FULL delta-cost frontier (r5): staleness from the persisted
-        # url state, importance from the persisted rank state — zero
-        # corpus scans at schedule time; auto-now (max warc_ts +
-        # offset) exercised under the pytest SQL oracle
-        "crawl_frontier_stateful": LG.crawl_frontier_stateful,
-        # pagerank_lineitem shares the pagerank_edges_ds core and the
-        # recursive-CTE oracle shape of host_pagerank
+        # pagerank_lineitem shares the pagerank_edges_ds core with
+        # kg_entity_pagerank
         "pagerank_lineitem": G.pagerank_lineitem,
-        "host_pagerank": lambda sf_dir: LG.host_pagerank(
-            LG.pages_with_links_parquet_for(sf_dir)
-        ),
-        # politeness-capped frontier (result-twin of crawl_frontier:
-        # same ranked set through a per-host row_number window)
-        "crawl_frontier_capped": lambda sf_dir: LG.crawl_frontier(
-            LG.pages_with_links_parquet_for(sf_dir), per_host_cap=3
-        ),
         "events_sliding": R.events_sliding,
         "dedup_exact": T.dedup_exact,
-        # ---------------- end of the first-50 window (entry #50) -------------
-        # exiled stable SQL twins (still DuckDB-checked in pytest).
-        # Each shares its code path with an in-window query: token
-        # counts with tfidf_top_terms' explode + SQL regex replay,
-        # simhash_documents with the simhash_dup_pairs oracle CTE,
-        # fingerprint_documents with dedup_exact's md5 key step, the
-        # epoch / bucket-join / consistent-sample variants with their
-        # in-window siblings.
         # incremental url-state ingest: the persisted-artifact
         # result-twin of the in-window url_dedup_pages (same SQL
         # oracle) — base state + variant-rows delta through the
@@ -254,6 +194,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "fingerprint_documents": T.fingerprint_documents,
         "subword_token_counts": T.subword_token_counts,
         "hash_split_documents": M.hash_split_documents,
+        # ---------------- end of the first-50 window (entry #50) -------------
+        # exiled stable SQL twins (still DuckDB-checked in pytest).
+        # Each shares its code path with an in-window query:
+        # simhash_documents with the simhash_dup_pairs oracle CTE, the
+        # epoch / bucket-join / consistent-sample variants with their
+        # in-window siblings.
         "simhash_documents": T.simhash_documents,
         "customers_without_orders": R.customers_without_orders,
         "segment_order_stats_bucket_join": R.segment_order_stats_bucket_join,
@@ -299,16 +245,6 @@ def oracle_sql() -> dict[str, str]:
     ws = _WS.replace("'", "''")
     # MinHash permutation constants (seed 42) embedded as literals so
     # DuckDB reproduces the engine's signatures bit-for-bit
-    from finance_sc_relations_ray.pipelines.linkgraph import (
-        FRONTIER_NOW as _LG_FRONTIER_NOW,
-        HOST_LINK_GRAPH_ORACLE as _LG_ORACLE,
-        HOST_PAGERANK_ORACLE as _LG_PR_ORACLE,
-        TRIANGLE_COUNT_ORACLE as _LG_TRI_ORACLE,
-        anchor_entity_oracle as _LG_ANCHOR_ORACLE,
-        crawl_frontier_capped_oracle as _LG_FRONTIER_CAP_ORACLE,
-        crawl_frontier_oracle as _LG_FRONTIER_ORACLE,
-        host_hits_oracle as _LG_HITS_ORACLE,
-    )
     from finance_sc_relations_ray.pipelines.kg import (
         alias_items_oracle as _KG_ALIAS_ORACLE,
     )
@@ -1193,30 +1129,9 @@ def oracle_sql() -> dict[str, str]:
             JOIN uni ub ON ub.term = pairs.term_b, n
             WHERE n_ab >= 2
         """,
-        # hyperlink-graph family: each oracle replays the anchor
-        # planting formula (linkgraph.py docstring) from documents —
-        # and, for pagerank, the identical int64 recurrence
-        "host_link_graph": _LG_ORACLE,
-        "anchor_entity_mentions": _LG_ANCHOR_ORACLE(),
-        "host_hits": _LG_HITS_ORACLE(),
-        "host_pagerank": _LG_PR_ORACLE,
-        # incremental rank state == one-shot pagerank (edge-fold
-        # associativity), so it shares the recursive-CTE oracle
-        "host_pagerank_state": _LG_PR_ORACLE,
-        # stateful frontier: auto-now (max warc_ts + offset) — the
-        # oracle derives the same epoch in SQL (_now_epoch_sql)
-        "crawl_frontier_stateful": _LG_FRONTIER_ORACLE(now=None),
         # alias plant replay: frozen pair pool + company-DB rgids as
         # literals (pipelines/kg.alias_items_oracle)
         "alias_items_planted": _KG_ALIAS_ORACLE(),
-        "triangle_count": _LG_TRI_ORACLE,
-        # crawl frontier: embeds the pagerank recurrence verbatim plus
-        # the url/warc_ts synthesis formula and the BIGINT
-        # rank×staleness priority with the (priority DESC, url) cutoff
-        "crawl_frontier": _LG_FRONTIER_ORACLE(now=_LG_FRONTIER_NOW),
-        "crawl_frontier_capped": _LG_FRONTIER_CAP_ORACLE(
-            now=_LG_FRONTIER_NOW, per_host_cap=3
-        ),
         # integer-exact PageRank: the recursive term replays the same
         # int64 recurrence as the engine (floor-div on positives), so
         # ranks match bit-for-bit after 8 iterations

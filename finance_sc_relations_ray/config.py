@@ -12,7 +12,7 @@ rebuilt semantics match (see BASELINE.md):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

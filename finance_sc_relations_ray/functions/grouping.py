@@ -39,7 +39,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from .names import encode_names, initials as _initials
+from .names import encode_names
 
 _PAREN_RE = re.compile(r'(ORG\d+)\s*\W*[a-zA-Z-\s]*[(]\s?\w*\W?\s?["]?(ORG\d+)["]?[)]')
 _QUOTE_RE = re.compile(r'(ORG\d+)\s*\w*["“](ORG\d+)["”]')

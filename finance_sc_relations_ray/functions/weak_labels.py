@@ -20,7 +20,6 @@ tests/test_weak_labels.py.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import chain
 from typing import Iterable
 
 import numpy as np

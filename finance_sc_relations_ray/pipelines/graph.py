@@ -38,7 +38,7 @@ import ray.data
 from ..functions import textops
 from ..sources.io import sized_read_parquet
 from ..stages.joins import bucket_lookup_join
-from ..stages.shuffle import NO_FUSE_NUM_CPUS, bucketed_sum_ds, salted_dedup
+from ..stages.shuffle import NO_FUSE_NUM_CPUS, bucketed_sum_ds
 
 
 def _read_docs(
@@ -654,168 +654,6 @@ def pagerank_edges_ds(
             .materialize()
         )
     return ranks
-
-
-_HITS_SCALE = 1_000_000
-
-
-def hits_edges_ds(
-    edges: "ray.data.Dataset",
-    iters: int = 4,
-    node_type: pa.DataType = pa.string(),
-    scale: int = _HITS_SCALE,
-) -> "ray.data.Dataset":
-    """Integer-exact HITS (hubs & authorities, Kleinberg) over a
-    DIRECTED distinct edge list ``(s, d)`` — unweighted, self-loops
-    dropped by the caller. Returns ``(node, hub_micro, auth_micro)``.
-
-    The recurrence alternates half-steps, each normalized by the FIXED
-    constant ``deg_max · scale`` (float HITS normalizes by the vector
-    norm; a constant normalizer preserves the power iteration's
-    relative structure while keeping the recurrence free of any
-    level-dependent scalar — crucial for the SQL replay, where a
-    per-level max would have to re-reference the recursive working
-    table, whose second-reference semantics are implementation-defined
-    — measured: DuckDB's scalar subquery reads the ACCUMULATED
-    recursion, not the working level):
-
-        a_{t+1}[v] = (Σ_{u→v} h_t[u] · scale) // (deg_max · scale)
-        h_{t+1}[u] = (Σ_{u→v} a_t[v] · scale) // (deg_max · scale)
-
-    All arithmetic is int64, so levels are order-independent under any
-    partitioning and the DuckDB recursive-CTE oracle matches
-    bit-for-bit. Presence is STRUCTURAL (value zeros cannot desync the
-    row sets): hubs init on nodes with ≥1 out-edge, so every auth
-    level covers exactly the ≥1-in-edge nodes and every hub level
-    exactly the ≥1-out-edge nodes — dense zero-filled vectors
-    replicate the SQL join row-for-row with no presence bookkeeping.
-    Bounds (raised loudly, not clipped): values stay ≤ scale by
-    induction, pre-division sums ≤ deg_max·scale², so
-    ``deg_max·scale² < 2^63`` (deg_max ≤ ~9e6 at the default scale) —
-    the same weight-bound class as pagerank's w ≤ 9e6; bigger hubs
-    lower ``scale`` or pre-aggregate, the raise names the knob.
-
-    Execution is the pagerank broadcast-mode idiom (one map-only pass
-    over never-re-shuffled index-encoded edges per half-step; the
-    driver folds node-sized sparse partials and takes the max — only
-    the node-sized vector touches the driver). The exchange-mode
-    variant for rank tables too big to broadcast is the same upgrade
-    path pagerank documents."""
-    import ray
-
-    ends = edges.map_batches(
-        lambda b: pa.table(
-            {
-                "node": pa.concat_arrays(
-                    [
-                        b["s"].combine_chunks().cast(node_type),
-                        b["d"].combine_chunks().cast(node_type),
-                    ]
-                )
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    nodes_pd = (
-        salted_dedup(ends, ["node"]).select_columns(["node"]).to_pandas()
-    )
-    n_nodes = len(nodes_pd)
-    if n_nodes == 0:
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "node": pa.array([], node_type),
-                    "hub_micro": pa.array([], pa.int64()),
-                    "auth_micro": pa.array([], pa.int64()),
-                }
-            )
-        )
-    node_index = pd.Series(
-        np.arange(n_nodes, dtype=np.int64), index=nodes_pd["node"]
-    )
-    idx_ref = ray.put(node_index)
-
-    def to_idx(batch: pa.Table) -> pa.Table:
-        ix = ray.get(idx_ref)
-        return pa.table(
-            {
-                "s_idx": pa.array(
-                    ix.reindex(batch["s"].to_pandas()).to_numpy().astype(
-                        np.int64
-                    ),
-                    pa.int64(),
-                ),
-                "d_idx": pa.array(
-                    ix.reindex(batch["d"].to_pandas()).to_numpy().astype(
-                        np.int64
-                    ),
-                    pa.int64(),
-                ),
-            }
-        )
-
-    edges_idx = edges.map_batches(to_idx, batch_format="pyarrow").materialize()
-
-    # degree guard (one pass over the index edges, driver folds)
-    in_deg = np.zeros(n_nodes, dtype=np.int64)
-    out_deg = np.zeros(n_nodes, dtype=np.int64)
-    for b in edges_idx.iter_batches(batch_format="pyarrow"):
-        np.add.at(out_deg, b["s_idx"].to_numpy(zero_copy_only=False), 1)
-        np.add.at(in_deg, b["d_idx"].to_numpy(zero_copy_only=False), 1)
-    deg_max = int(max(in_deg.max(), out_deg.max()))
-    if deg_max * scale * scale >= 2**63:
-        raise ValueError(
-            f"hits_edges_ds: max degree {deg_max} violates the int64 "
-            f"exactness bound (deg_max · scale² < 2^63); lower `scale` "
-            f"or pre-aggregate hub neighborhoods"
-        )
-    m = deg_max * scale  # fixed normalizer (docstring)
-
-    # level 0: hubs — structural init on ≥1-out-edge nodes only
-    v = np.where(out_deg > 0, scale, 0).astype(np.int64)
-    prev = None
-    for half in range(2 * iters):
-        v_ref = ray.put(v)
-        to_auth = half % 2 == 0  # even level holds hubs → produce auths
-
-        def sparse_partials(
-            batch: pa.Table, _v=v_ref, _n=n_nodes, _fwd=to_auth
-        ) -> pa.Table:
-            vec = ray.get(_v)
-            s_idx = batch["s_idx"].to_numpy(zero_copy_only=False)
-            d_idx = batch["d_idx"].to_numpy(zero_copy_only=False)
-            src, dst = (s_idx, d_idx) if _fwd else (d_idx, s_idx)
-            acc = np.zeros(_n, dtype=np.int64)
-            np.add.at(acc, dst, vec[src])
-            nz = np.nonzero(acc)[0]
-            return pa.table(
-                {
-                    "i": pa.array(nz, pa.int64()),
-                    "c": pa.array(acc[nz], pa.int64()),
-                }
-            )
-
-        acc = np.zeros(n_nodes, dtype=np.int64)
-        for b in edges_idx.map_batches(
-            sparse_partials, batch_format="pyarrow"
-        ).iter_batches(batch_format="pyarrow"):
-            np.add.at(
-                acc,
-                b["i"].to_numpy(zero_copy_only=False),
-                b["c"].to_numpy(zero_copy_only=False),
-            )
-        prev, v = v, (acc * scale) // m
-
-    hubs, auths = v, prev  # last even level = hubs, last odd = auths
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "node": pa.array(nodes_pd["node"].tolist(), node_type),
-                "hub_micro": pa.array(hubs, pa.int64()),
-                "auth_micro": pa.array(auths, pa.int64()),
-            }
-        )
-    )
 
 
 def pagerank_lineitem(sf_dir: str, iters: int = 8) -> "ray.data.Dataset":

@@ -457,7 +457,7 @@ def pages_with_recrawl_content_parquet_for(sf_dir: str) -> str:
 # detect+filter accepts and (b) the company-DB linker resolves
 # ('3M Company' fails the similarity filter, 'Raytheon Technologies'
 # does not link) — FROZEN here because the SQL oracle embeds the pool
-# as literals (the anchor_entity_mentions idiom); a pytest asserts
+# as literals; a pytest asserts
 # every frozen pair still passes detection, filtering and linking, so
 # drift fails loudly instead of hash-mismatching confusingly.
 ALIAS_PLANT_EXCLUDED = ("3M Company", "Raytheon Technologies")

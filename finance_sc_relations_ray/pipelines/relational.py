@@ -26,7 +26,7 @@ import ray
 import ray.data
 
 from ..sources.io import sized_read_parquet
-from ray.data.aggregate import Count, Max, Min, Sum
+from ray.data.aggregate import Count, Sum
 
 from ..functions.rounding import round_half_away
 

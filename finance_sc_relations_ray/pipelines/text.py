@@ -22,7 +22,7 @@ import ray.data
 
 from ..config import exchange_fanout
 from ..sources.io import sized_read_parquet
-from ray.data.aggregate import Count, Min, Sum
+from ray.data.aggregate import Min, Sum
 
 from ..functions import textops
 from ..functions.clean import clean_array

@@ -16,8 +16,6 @@ byte-stable.
 
 from __future__ import annotations
 
-import functools
-
 import pyarrow as pa
 import ray
 import ray.data

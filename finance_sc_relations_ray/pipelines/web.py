@@ -380,6 +380,13 @@ def _fold_state(ds: "object") -> "object":
     )
 
 
+def _refuse_existing(out_dir: str) -> None:
+    if os.path.exists(out_dir):
+        raise FileExistsError(
+            f"url state out_dir {out_dir!r} exists; publish to a new path"
+        )
+
+
 def build_url_state(
     pages_path: str, out_dir: str, n_shards: int = 16
 ) -> str:
@@ -387,9 +394,12 @@ def build_url_state(
     ``shard=<k>/`` dirs (one folded row per canonical url) plus a
     one-row ``_meta.parquet`` recording n_shards. Distributed
     ``write_parquet``; atomic tmp+rename so a killed build never
-    leaves a half-state a later merge would trust."""
+    leaves a half-state a later merge would trust. ``out_dir`` must
+    not exist: deleting it first could die half way and leave a state
+    that reads without error with shards missing."""
     import shutil
 
+    _refuse_existing(out_dir)
     tmp = out_dir + ".tmp"
     shutil.rmtree(tmp, ignore_errors=True)
     os.makedirs(tmp, exist_ok=True)
@@ -400,7 +410,6 @@ def build_url_state(
         pa.table({"n_shards": pa.array([n_shards], pa.int64())}),
         os.path.join(tmp, "_meta.parquet"),
     )
-    shutil.rmtree(out_dir, ignore_errors=True)
     os.replace(tmp, out_dir)
     return out_dir
 
@@ -420,11 +429,13 @@ def update_url_state(
     associative and commutative, so state ∪ delta-partials folds to
     the same rows as one global pass. Overlapping urls between base
     and delta MERGE (that is the operator's purpose — recrawls bump
-    n_dups and advance last_ts)."""
+    n_dups and advance last_ts). ``out_dir`` must not exist, so a merge
+    never writes in place (see :func:`build_url_state`)."""
     import shutil
 
     import ray.data
 
+    _refuse_existing(out_dir)
     meta = pq.read_table(os.path.join(state_dir, "_meta.parquet"))
     n_shards = int(meta["n_shards"][0].as_py())
 
@@ -494,7 +505,6 @@ def update_url_state(
         os.path.join(state_dir, "_meta.parquet"),
         os.path.join(tmp, "_meta.parquet"),
     )
-    shutil.rmtree(out_dir, ignore_errors=True)
     os.replace(tmp, out_dir)
     return out_dir
 
@@ -502,7 +512,7 @@ def update_url_state(
 def state_parquet_paths(state_dir: str) -> list[str]:
     """Parquet files of a persisted url state's ``shard=<k>/`` dirs —
     the single place that knows the on-disk layout (consumed by
-    :func:`read_url_state` and ``linkgraph.crawl_frontier``)."""
+    :func:`read_url_state`)."""
     return [
         os.path.join(state_dir, n, f)
         for n in sorted(os.listdir(state_dir))
@@ -542,9 +552,10 @@ def url_state_update(sf_dir: str) -> pd.DataFrame:
     delta = os.path.join(os.path.dirname(marker), "variants.parquet")
     # the base pages dir is deterministic and immutable once built (its
     # cache key embeds sf tag, row count and seed), so a plain suffix
-    # is a sound state cache key
+    # is a sound state cache key; a state is published whole by one
+    # rename, so an existing dir is a complete state
     state_dir = os.path.normpath(base) + "-urlstate"
-    if not os.path.isfile(os.path.join(state_dir, "_meta.parquet")):
+    if not os.path.exists(state_dir):
         build_url_state(base, state_dir)
     out = tempfile.mkdtemp(prefix="fscr_urlstate_upd_") + "/state"
     try:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 
-import numpy as np
 import pyarrow as pa
 
 from ..config import DEFAULT_CONFIG, KGConfig

@@ -33,7 +33,7 @@ TABLES = [
 #   component label propagation     -> dup_clusters
 #   embedding LSH coarse + funnel   -> embedding_dup_pairs_lsh
 #   span-hash buckets               -> span_dedup_documents
-#   bucket_lookup_join (tf-idf/pr)  -> tfidf_top_terms, crawl_frontier
+#   bucket_lookup_join (tf-idf/pr)  -> tfidf_top_terms
 #   %nb user windows                -> events_rolling, user_sessions
 #   asof bucket exchange            -> events_asof_join
 #   relational bucket join          -> segment_order_stats_bucket_join
@@ -46,7 +46,6 @@ BUCKETED_QUERIES = [
     "embedding_dup_pairs_lsh",
     "span_dedup_documents",
     "tfidf_top_terms",
-    "crawl_frontier",
     "events_rolling",
     "user_sessions",
     "events_asof_join",

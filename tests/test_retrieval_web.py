@@ -250,6 +250,13 @@ def test_url_state_update_equals_rebuild(tmp_path):
     a = got[got["url"] == "https://a.com/x"].iloc[0]
     assert a["n_dups"] == 3
     assert pd.Timestamp(a["last_ts"]) == pd.Timestamp("2024-02-01")
+    # an empty delta touches no shard: the merge carries the state over
+    e = tmp_path / "empty"
+    e.mkdir()
+    _write_pages(e / "pages.parquet", [])
+    same = update_url_state(merged, str(e / "pages.parquet"),
+                            str(tmp_path / "s_same"))
+    pd.testing.assert_frame_equal(read_url_state(same), got)
 
 
 def test_url_state_update_prunes_untouched_shards(tmp_path):
@@ -296,6 +303,59 @@ def test_url_state_update_prunes_untouched_shards(tmp_path):
                 os.path.join(md, f), "rb"
             ) as f2:
                 assert f1.read() == f2.read(), (k, f)
+
+
+def test_url_state_into_existing_out_dir_is_refused(tmp_path, monkeypatch):
+    """Publishing over an existing state used to delete it first; a
+    crash in that delete, here after one shard dir, left a state that
+    read without error with urls missing. Both a build and a merge
+    (in place included) must refuse before any work."""
+    import shutil
+
+    from finance_sc_relations_ray.pipelines.web import (
+        build_url_state,
+        read_url_state,
+        update_url_state,
+    )
+
+    base = tmp_path / "base.parquet"
+    delta = tmp_path / "delta.parquet"
+    _write_pages(base, [(f"https://h{i}.com/p", "2024-01-01", f"t{i}")
+                        for i in range(20)])
+    _write_pages(delta, [("https://h0.com/p", "2024-03-01", "re")])
+    src = build_url_state(str(base), str(tmp_path / "src"), n_shards=4)
+    out = build_url_state(str(base), str(tmp_path / "out"), n_shards=4)
+    old = read_url_state(out)
+
+    def tree(root):
+        out = {}
+        for d, _, files in os.walk(root):
+            for f in files:
+                with open(os.path.join(d, f), "rb") as fh:
+                    out[os.path.relpath(os.path.join(d, f), root)] = fh.read()
+        return out
+
+    before = tree(out)
+    real_rmtree = shutil.rmtree
+
+    def rmtree(path, *a, **kw):
+        if os.path.abspath(path) != out:
+            return real_rmtree(path, *a, **kw)
+        shard = sorted(n for n in os.listdir(path) if n.startswith("shard="))
+        real_rmtree(os.path.join(path, shard[0]))
+        raise RuntimeError("crash in rmtree")
+
+    with monkeypatch.context() as m:
+        m.setattr(shutil, "rmtree", rmtree)
+        with pytest.raises(FileExistsError):
+            build_url_state(str(base), out, n_shards=4)
+        with pytest.raises(FileExistsError):
+            update_url_state(src, str(delta), out)
+        with pytest.raises(FileExistsError):
+            update_url_state(out, str(delta), out)
+    assert tree(out) == before
+    assert not os.path.exists(out + ".tmp")
+    pd.testing.assert_frame_equal(read_url_state(out), old)
 
 
 def test_url_state_matches_one_shot_dedup():
