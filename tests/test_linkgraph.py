@@ -1,304 +1,46 @@
-"""Structural invariants for the hyperlink-graph operators
-(pipelines/linkgraph.py) beyond the bit-exact DuckDB parity that
-tests/test_queries_vs_duckdb.py enforces (host_link_graph /
-host_pagerank / triangle_count all carry planting-replay SQL oracles):
-hand-built graphs where the right answer is known by construction, and
-the fixture's extraction byte-invariant."""
+"""Structural invariants of the integer-exact PageRank core
+(``graph.pagerank_edges_ds``) on hand-built host link graphs: string
+node ids, symmetric weighted edges, where the right answer is known by
+construction. ``pagerank_lineitem`` and ``kg_entity_pagerank`` run the
+same core; tests/test_graph_ops.py checks them against replays."""
 
-import datetime as dt
-
-import numpy as np
-import pandas as pd
 import pyarrow as pa
-import pyarrow.dataset as pads
-import pyarrow.parquet as pq
+import ray.data
 
-from finance_sc_relations_ray.pipelines import linkgraph as L
-
-SF = "/root/testdata/sf0.001"
+from finance_sc_relations_ray.pipelines import graph as G
 
 
-def _mk_pages(tmp_path, rows):
-    """rows: list of (url, [href hosts] | raw html str)."""
-    urls, htmls = [], []
-    for url, links in rows:
-        urls.append(url)
-        if isinstance(links, str):
-            body = links
-        else:
-            body = "<p>x</p>" + "".join(
-                f'<a href="https://{h}/page/0">l</a>' for h in links
-            )
-        htmls.append(f"<html><body>{body}</body></html>".encode())
-    t = pa.table(
-        {
-            "url": pa.array(urls, pa.string()),
-            "warc_ts": pa.array(
-                [dt.datetime(2024, 1, 1)] * len(urls), pa.timestamp("us")
-            ),
-            "html": pa.array(htmls, pa.binary()),
-            "text": pa.array(["x"] * len(urls), pa.string()),
-            "lang": pa.array(["en"] * len(urls), pa.string()),
-        }
-    )
-    p = str(tmp_path / "pages.parquet")
-    pq.write_table(t, p)
-    return p
-
-
-def _url(host, i):
-    return f"https://{host}/page/{i}"
-
-
-# ------------------------------------------------ fixture invariant ----
-
-
-def test_planted_anchors_preserve_extracted_text():
-    """The planted anchors live outside the <p> blocks, so the
-    byte-identity extraction invariant (stages/extract.py) must hold
-    row-for-row against the base pages."""
-    from finance_sc_relations_ray.sources.pages import pages_parquet_for
-    from finance_sc_relations_ray.stages.extract import extract_text
-
-    base = (
-        pads.dataset(pages_parquet_for(SF))
-        .to_table()
-        .to_pandas()
-        .set_index("url")
-        .sort_index()
-    )
-    linked = (
-        pads.dataset(L.pages_with_links_parquet_for(SF))
-        .to_table()
-        .to_pandas()
-        .set_index("url")
-        .sort_index()
-    )
-    assert list(base.index) == list(linked.index)
-    for u in base.index:
-        assert extract_text(base.loc[u, "html"]) == extract_text(
-            linked.loc[u, "html"]
+def _host_pagerank(links):
+    """links: [(src_host, dst_host)] undirected, one row per pair.
+    Symmetrize with unit weights and run the core; returns a pandas
+    frame ``(node, r)``."""
+    s = [a for a, b in links] + [b for a, b in links]
+    d = [b for a, b in links] + [a for a, b in links]
+    edges = ray.data.from_arrow(
+        pa.table(
+            {
+                "s": pa.array(s, pa.string()),
+                "d": pa.array(d, pa.string()),
+                "w": pa.array([1] * len(s), pa.int64()),
+            }
         )
-        # and every page gained at least one anchor
-        assert b"<a href=" in linked.loc[u, "html"]
-
-
-# ---------------------------------------------------- edge extraction ----
-
-
-def test_host_link_graph_counts_and_ignores_relative(tmp_path):
-    p = _mk_pages(
-        tmp_path,
-        [
-            # two anchors to b.com, one to c.com, one RELATIVE (ignored:
-            # the extractor mines absolute http(s) anchors only)
-            (
-                _url("a.com", 1),
-                '<a href="https://b.com/x">1</a>'
-                '<a href="https://b.com/y">2</a>'
-                '<a href="http://c.com/z">3</a>'
-                '<a href="/local/page">rel</a>',
-            ),
-            (_url("b.com", 2), ["c.com"]),
-            (_url("d.com", 3), []),  # no anchors at all
-        ],
     )
-    g = (
-        L.host_link_graph(p)
-        .to_pandas()
-        .sort_values(["src_domain", "dst_domain"])
-        .reset_index(drop=True)
-    )
-    exp = pd.DataFrame(
-        {
-            "src_domain": ["a.com", "a.com", "b.com"],
-            "dst_domain": ["b.com", "c.com", "c.com"],
-            "n_links": np.array([2, 1, 1], dtype=np.int64),
-        }
-    )
-    pd.testing.assert_frame_equal(g, exp, check_dtype=False)
+    return G.pagerank_edges_ds(edges, iters=8, node_type=pa.string()).to_pandas()
 
 
-def test_anchor_entity_mentions_counts(tmp_path):
-    p = _mk_pages(
-        tmp_path,
-        [
-            (
-                _url("a.com", 1),
-                '<a href="https://b.com/x">Apple Inc</a>'
-                '<a href="https://b.com/y">Apple Inc</a>'
-                '<a href="https://c.com/z">Samsung Electronics Co</a>',
-            ),
-            (_url("d.com", 2), '<a href="https://b.com/q">Apple Inc</a>'),
-        ],
-    )
-    g = (
-        L.anchor_entity_mentions(p)
-        .to_pandas()
-        .sort_values(["dst_domain", "anchor_text"])
-        .reset_index(drop=True)
-    )
-    exp = pd.DataFrame(
-        {
-            "dst_domain": ["b.com", "c.com"],
-            "anchor_text": ["Apple Inc", "Samsung Electronics Co"],
-            "n_links": np.array([3, 1], dtype=np.int64),
-        }
-    )
-    pd.testing.assert_frame_equal(g, exp, check_dtype=False)
-
-
-# -------------------------------------------------------- triangles ----
-
-
-def test_triangle_count_handcrafted(tmp_path):
-    # complete graph K4 (4 triangles) plus a disjoint star (0
-    # triangles), with self-loops and duplicate/reciprocal links that
-    # must not change the count
-    p = _mk_pages(
-        tmp_path,
-        [
-            (_url("a.com", 1), ["b.com", "c.com", "d.com", "a.com"]),
-            (_url("b.com", 2), ["c.com", "d.com", "a.com"]),  # recip a-b
-            (_url("c.com", 3), ["d.com"]),
-            # c-d edge planted again in the other direction (dup)
-            (_url("d.com", 4), ["c.com"]),
-            # star hub: many leaves, no closure
-            (_url("hub.com", 5), ["l1.com", "l2.com", "l3.com", "l4.com"]),
-        ],
-    )
-    out = L.triangle_count(p)
-    assert int(out["n_triangles"][0]) == 4
-
-
-def test_triangle_count_distributed_path_equals_local(tmp_path):
-    # the gate-scale local collapse must equal the distributed plan
-    # (local_edges_gate=0 forces the five-exchange path) on both the
-    # handcrafted K4+star graph and the planted fixture
-    p = _mk_pages(
-        tmp_path,
-        [
-            (_url("a.com", 1), ["b.com", "c.com", "d.com"]),
-            (_url("b.com", 2), ["c.com", "d.com"]),
-            (_url("c.com", 3), ["d.com"]),
-            (_url("hub.com", 4), ["l1.com", "l2.com", "l3.com"]),
-        ],
-    )
-    local = int(L.triangle_count(p)["n_triangles"][0])
-    dist = int(L.triangle_count(p, local_edges_gate=0)["n_triangles"][0])
-    assert local == dist == 4
-    fixture = L.pages_with_links_parquet_for(SF)
-    assert int(L.triangle_count(fixture)["n_triangles"][0]) == int(
-        L.triangle_count(fixture, local_edges_gate=0)["n_triangles"][0]
-    )
-
-
-def test_triangle_count_no_triangles(tmp_path):
-    p = _mk_pages(
-        tmp_path,
-        [
-            (_url("a.com", 1), ["b.com"]),
-            (_url("b.com", 2), ["c.com"]),
-            (_url("c.com", 3), []),
-        ],
-    )
-    assert int(L.triangle_count(p)["n_triangles"][0]) == 0
-
-
-def test_triangle_count_chain_plus_closure(tmp_path):
-    # path a-b-c-d plus closing edge a-c → exactly one triangle (a,b,c)
-    p = _mk_pages(
-        tmp_path,
-        [
-            (_url("a.com", 1), ["b.com", "c.com"]),
-            (_url("b.com", 2), ["c.com"]),
-            (_url("c.com", 3), ["d.com"]),
-            (_url("d.com", 4), []),
-        ],
-    )
-    assert int(L.triangle_count(p)["n_triangles"][0]) == 1
-
-
-# --------------------------------------------------------- pagerank ----
-
-
-def test_host_pagerank_symmetric_pair_equal_ranks(tmp_path):
+def test_host_pagerank_symmetric_pair_equal_ranks():
     # two disconnected symmetric pairs: all four nodes must get the
     # same integer rank, and ranks must sum to ~1e12 (micro-rank units)
-    p = _mk_pages(
-        tmp_path,
-        [
-            (_url("a.com", 1), ["b.com"]),
-            (_url("c.com", 2), ["d.com"]),
-        ],
-    )
-    r = L.host_pagerank(p).to_pandas()
+    r = _host_pagerank([("a.com", "b.com"), ("c.com", "d.com")])
     assert len(r) == 4
-    assert r["rank_micro"].nunique() == 1
-    assert abs(int(r["rank_micro"].sum()) - 1_000_000_000_000) < 100
+    assert r["r"].nunique() == 1
+    assert abs(int(r["r"].sum()) - 1_000_000_000_000) < 100
 
 
-def test_host_pagerank_hub_outranks_leaves(tmp_path):
-    p = _mk_pages(
-        tmp_path,
-        [
-            (_url("hub.com", 1), ["l1.com", "l2.com", "l3.com"]),
-        ],
-    )
-    r = L.host_pagerank(p).to_pandas().set_index("domain")
-    hub = int(r.loc["hub.com", "rank_micro"])
+def test_host_pagerank_hub_outranks_leaves():
+    r = _host_pagerank(
+        [("hub.com", "l1.com"), ("hub.com", "l2.com"), ("hub.com", "l3.com")]
+    ).set_index("node")
+    hub = int(r.loc["hub.com", "r"])
     for leaf in ["l1.com", "l2.com", "l3.com"]:
-        assert hub > int(r.loc[leaf, "rank_micro"])
-
-
-def test_host_hits_star(tmp_path):
-    # hub.com → l1..l3: hub.com is the only hub (leaves have no
-    # out-edges → hub 0); leaves are equal authorities; hub.com has no
-    # in-edges → authority 0
-    p = _mk_pages(
-        tmp_path,
-        [(_url("hub.com", 1), ["l1.com", "l2.com", "l3.com"])],
-    )
-    r = L.host_hits(p).to_pandas().set_index("domain")
-    assert len(r) == 4
-    assert int(r.loc["hub.com", "auth_micro"]) == 0
-    assert int(r.loc["hub.com", "hub_micro"]) > 0
-    leaves = r.loc[["l1.com", "l2.com", "l3.com"]]
-    assert (leaves["hub_micro"] == 0).all()
-    assert leaves["auth_micro"].nunique() == 1
-    assert int(leaves["auth_micro"].iloc[0]) > 0
-
-
-def test_host_hits_good_hub_beats_weak_hub(tmp_path):
-    # h1 points at BOTH popular authorities; h2 points at one popular
-    # authority and one obscure page — h1 must out-hub h2
-    p = _mk_pages(
-        tmp_path,
-        [
-            (_url("h1.com", 1), ["a1.com", "a2.com"]),
-            (_url("h2.com", 2), ["a1.com", "obscure.com"]),
-            (_url("h3.com", 3), ["a1.com", "a2.com"]),
-            (_url("h4.com", 4), ["a2.com"]),
-        ],
-    )
-    r = L.host_hits(p).to_pandas().set_index("domain")
-    assert int(r.loc["h1.com", "hub_micro"]) > int(
-        r.loc["h2.com", "hub_micro"]
-    )
-    assert int(r.loc["a1.com", "auth_micro"]) > int(
-        r.loc["obscure.com", "auth_micro"]
-    )
-
-
-def test_host_pagerank_self_loops_dropped(tmp_path):
-    # a page linking only to itself contributes no edges; with one real
-    # pair the self-linking host must be absent from the rank table
-    p = _mk_pages(
-        tmp_path,
-        [
-            (_url("self.com", 1), ["self.com"]),
-            (_url("a.com", 2), ["b.com"]),
-        ],
-    )
-    r = L.host_pagerank(p).to_pandas()
-    assert set(r["domain"]) == {"a.com", "b.com"}
+        assert hub > int(r.loc[leaf, "r"])
