@@ -142,9 +142,11 @@ def scaled_config(num_cpus: int) -> KGConfig:
     """Size the actor pools to a node's CPU count: the alias-extraction
     and training-data pools (``ner_concurrency``) to ~80% of the CPUs,
     the light link pool to a fraction, with fractional CPU reservations
-    keeping headroom for the task-pool stages. The page stage of
-    ``build_kg_pipeline`` runs as Ray tasks, which Ray Data sizes to
-    the cluster itself, so nothing here sizes it."""
+    keeping headroom for the task-pool stages. Nothing here sizes the
+    page stage of ``build_kg_pipeline``: it runs as Ray tasks, one per
+    read bundle, and the dedup exchange turns off Ray Data's
+    per-operator reservation for its plan, so those tasks can use every
+    CPU (``stages.shuffle.salted_dedup``)."""
     # FIXED pool sizes (an int, not an autoscaling tuple): Ray Data's
     # autoscaling pool ramps up too slowly for short CPU-bound jobs —
     # measured load average stuck at ~5 of 32 cores with (1, 32).

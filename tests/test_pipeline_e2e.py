@@ -185,3 +185,72 @@ def test_page_stage_cache_keys_on_reverse_and_db(pages_path):
     assert cold[True, "A"] != cold[True, "B"]
     for reverse, db in runs + runs:  # warm, alternating
         assert call(reverse, db) == cold[reverse, db], (reverse, db)
+
+
+@pytest.mark.parametrize(
+    "build, tagger",
+    [("build_kg_pipeline", "BuildRendezvousTagger"),
+     ("kg_from_crawl", "CrawlRendezvousTagger")],
+)
+def test_page_stage_overlaps_behind_the_dedup_exchange(pages_path, build, tagger):
+    """A deduplicating plan runs its page stage in two processes at
+    once: the first page call of each worker waits on a two-party
+    barrier (tests/page_rendezvous.py), and a partner must arrive.
+    With Ray Data's per-operator reservation on, the page operator in
+    front of the sort barrier got one CPU and its calls never met."""
+    import ray
+
+    from finance_sc_relations_ray.config import KGConfig
+    from finance_sc_relations_ray.pipelines import kg
+    from tests import page_rendezvous
+
+    backend = getattr(page_rendezvous, tagger)
+    barrier = page_rendezvous.TwoPartyBarrier.options(
+        name=backend.BARRIER
+    ).remote()
+    try:
+        cfg = KGConfig(ner_backend=f"tests.page_rendezvous:{tagger}")
+        assert len(getattr(kg, build)(pages_path, cfg).to_pandas()) > 0
+        assert ray.get(barrier.met.remote())
+    finally:
+        ray.kill(barrier)
+
+
+def test_dedup_reservation_stays_on_its_own_plan(pages_path, tmp_path, monkeypatch):
+    """The deduplicating build executes with the per-operator
+    reservation off, the global ``DataContext`` keeps its value, and the
+    triple-store merge plan (no exchange) still runs with the default."""
+    from ray.data import DataContext
+    from ray.data._internal.execution import resource_manager
+
+    from finance_sc_relations_ray.pipelines.kg_state import (
+        build_kg_state,
+        update_kg_state,
+    )
+
+    seen = []
+    init = resource_manager.ResourceManager.__init__
+
+    def spy(self, topology, options, get_total_resources, data_context):
+        seen.append((
+            " ".join(op.name for op in topology),
+            data_context.op_resource_reservation_enabled,
+        ))
+        init(self, topology, options, get_total_resources, data_context)
+
+    monkeypatch.setattr(resource_manager.ResourceManager, "__init__", spy)
+    default = DataContext.get_current().op_resource_reservation_enabled
+    assert default is True
+
+    build_kg_pipeline(pages_path).to_pandas()
+    assert [on for ops, on in seen if "PageKGActor" in ops] == [False]
+    assert DataContext.get_current().op_resource_reservation_enabled is default
+
+    seen.clear()
+    delta = str(tmp_path / "delta.parquet")
+    pq.write_table(generate_pages(list(range(120, 130))), delta)
+    state = build_kg_state(pages_path, str(tmp_path / "state"))
+    update_kg_state(state, delta, state)
+    merges = [on for ops, on in seen if "PageKGActor" in ops]
+    assert merges == [True, True], seen
+    assert DataContext.get_current().op_resource_reservation_enabled is default
