@@ -21,15 +21,8 @@ stages/scoring.py, stages/doc_agg.py, stages/link.py) are what
 ``oracle/kg_oracle.py`` composes, and tests/test_pipeline_e2e.py holds
 the pipeline equal to it.
 
-A deduplicating plan runs with Ray Data's per-operator resource
-reservation off on its own ``ds.context`` (``stages.shuffle.salted_dedup``
-sets it; the global context is untouched). With the reservation on,
-the operators behind the sort barrier kept their reserved CPUs idle and
-the page stage ran one task at a time: at most one ``PageKGActor`` call
-at once on a 2- and a 4-CPU session, against 2 and 4 with it off. The
-triple-store merge (``kg_state.update_kg_state``) has no exchange and
-keeps the default: a probe with it off there showed no gain (CPU per
-page rose in 2 of 2 pairs, inside that workload's run-to-run spread).
+A deduplicating plan runs without Ray Data's per-operator reservation
+(why, and what bounds its memory instead: ``stages.shuffle.salted_dedup``).
 
 Ray is never initialised here (driver / bench / tests own the session).
 """
@@ -396,11 +389,8 @@ def kg_from_crawl(
     carries different html — tests/test_kg_from_crawl.py)."""
     from .web import url_keep_latest_pages_ds
 
-    # the winner rows keep the read's block count through the fold, so
-    # read as many blocks as build_kg_pipeline does: one block would
-    # run the whole page stage as one task
     winners = url_keep_latest_pages_ds(
-        pages_path, columns=["html", "lang"], read_blocks=default_read_blocks()
+        pages_path, columns=["html", "lang"]
     )
 
     page_schema = pa.schema(
@@ -410,7 +400,12 @@ def kg_from_crawl(
     def to_pages(batch: pa.Table) -> pa.Table:
         return batch.select(["url", "html", "lang"]).cast(page_schema)
 
-    pages = winners.map_batches(to_pages, batch_format="pyarrow")
+    # the fold's output keeps its read's block count, one block for a
+    # small crawl, which would run the whole page stage as one task;
+    # split it as build_kg_pipeline's read does
+    pages = winners.repartition(default_read_blocks()).map_batches(
+        to_pages, batch_format="pyarrow"
+    )
     linked = linked_docs_dataset(pages, config, company_db)
     return triples_dataset(linked, config)
 

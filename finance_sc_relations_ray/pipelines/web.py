@@ -196,7 +196,7 @@ def url_dedup_pages(pages_path: str) -> "object":
 
 def url_keep_latest_pages_ds(
     pages_path: str, num_buckets: int | None = None,
-    columns: list[str] | None = None, read_blocks: int | None = None,
+    columns: list[str] | None = None,
 ) -> "object":
     """URL-canonical dedup, winner-ROW form: ONE page row per canonical
     url — the latest crawl (max warc_ts; ties break to the
@@ -212,12 +212,7 @@ def url_keep_latest_pages_ds(
     (batch, url), and the final merge groups by a COARSE
     hash(url) % num_buckets bucket — per-group overhead paid per
     bucket, not per url — re-applying the same winner rule (it is
-    associative, so local-then-global equals one global pass).
-
-    The sort keeps the read's block count, so the winner rows come out
-    in as many blocks as the read made. ``read_blocks`` overrides the
-    size-aware read (one block for a small file), for a consumer that
-    does heavy per-page work and needs the fan-out."""
+    associative, so local-then-global equals one global pass)."""
     import ray.data
 
     from ..config import exchange_fanout
@@ -225,9 +220,8 @@ def url_keep_latest_pages_ds(
 
     num_buckets = exchange_fanout(num_buckets)
     payload = ["text"] if columns is None else list(columns)
-    kw = {"override_num_blocks": read_blocks} if read_blocks else {}
     ds = sized_read_parquet(
-        pages_path, columns=["url", "warc_ts"] + payload, **kw
+        pages_path, columns=["url", "warc_ts"] + payload
     )
 
     def local_win(batch: pd.DataFrame) -> pd.DataFrame:

@@ -218,39 +218,131 @@ def test_page_stage_overlaps_behind_the_dedup_exchange(pages_path, build, tagger
 
 def test_dedup_reservation_stays_on_its_own_plan(pages_path, tmp_path, monkeypatch):
     """The deduplicating build executes with the per-operator
-    reservation off, the global ``DataContext`` keeps its value, and the
-    triple-store merge plan (no exchange) still runs with the default."""
+    reservation off and the read-ahead bound on, the global
+    ``DataContext`` keeps its values, and the triple-store merge plan
+    (no exchange) still runs with the default."""
+    import inspect
+
     from ray.data import DataContext
     from ray.data._internal.execution import resource_manager
+    from ray.data._internal.execution.backpressure_policy import (
+        ENABLED_BACKPRESSURE_POLICIES_CONFIG_KEY as POLICIES,
+    )
 
     from finance_sc_relations_ray.pipelines.kg_state import (
         build_kg_state,
         update_kg_state,
     )
+    from finance_sc_relations_ray.stages.shuffle import ReadAheadBound
 
     seen = []
     init = resource_manager.ResourceManager.__init__
 
-    def spy(self, topology, options, get_total_resources, data_context):
+    def spy(self, *args, **kwargs):
+        bound = inspect.signature(init).bind(self, *args, **kwargs).arguments
+        ctx = bound["data_context"]
         seen.append((
-            " ".join(op.name for op in topology),
-            data_context.op_resource_reservation_enabled,
+            " ".join(op.name for op in bound["topology"]),
+            ctx.op_resource_reservation_enabled,
+            ReadAheadBound in ctx.get_config(POLICIES, []),
         ))
-        init(self, topology, options, get_total_resources, data_context)
+        init(self, *args, **kwargs)
 
     monkeypatch.setattr(resource_manager.ResourceManager, "__init__", spy)
-    default = DataContext.get_current().op_resource_reservation_enabled
-    assert default is True
+    glob = DataContext.get_current()
+
+    def unchanged():
+        assert glob.op_resource_reservation_enabled is True
+        assert glob.get_config(POLICIES) is None
+
+    unchanged()
 
     build_kg_pipeline(pages_path).to_pandas()
-    assert [on for ops, on in seen if "PageKGActor" in ops] == [False]
-    assert DataContext.get_current().op_resource_reservation_enabled is default
+    assert [(on, rab) for ops, on, rab in seen if "PageKGActor" in ops] == [
+        (False, True)
+    ]
+    unchanged()
 
     seen.clear()
     delta = str(tmp_path / "delta.parquet")
     pq.write_table(generate_pages(list(range(120, 130))), delta)
     state = build_kg_state(pages_path, str(tmp_path / "state"))
     update_kg_state(state, delta, state)
-    merges = [on for ops, on in seen if "PageKGActor" in ops]
-    assert merges == [True, True], seen
-    assert DataContext.get_current().op_resource_reservation_enabled is default
+    merges = [(on, rab) for ops, on, rab in seen if "PageKGActor" in ops]
+    assert merges == [(True, False), (True, False)], seen
+    unchanged()
+
+
+def test_read_ahead_bound_holds_back_the_page_read(tmp_path, monkeypatch):
+    """Without the reservation, ``ReadAheadBound`` keeps the page read
+    from loading its input into the object store ahead of the page
+    stage. The execution's object-store limit is set to 256 KiB; the test
+    samples the bytes the read has produced that are still in the plan
+    on every scheduling step. Bounded, that stays near the blocks the
+    page tasks hold; the same plan without the bound holds most of the
+    input."""
+    import copy
+
+    import pyarrow as pa
+    from ray.data._internal.execution import resource_manager
+    from ray.data._internal.execution.backpressure_policy import (
+        ENABLED_BACKPRESSURE_POLICIES,
+        ENABLED_BACKPRESSURE_POLICIES_CONFIG_KEY,
+    )
+    from ray.data._internal.execution.interfaces.execution_options import (
+        ExecutionResources,
+    )
+
+    # 24 MiB of html in 8 files (boilerplate markup the extractor skips)
+    pad = b"<div class='nav'>" + b"<a href='/s'>section</a>" * 850 + b"</div>"
+    src = tmp_path / "pages"
+    src.mkdir()
+    for f in range(8):
+        t = generate_pages(list(range(f * 150, (f + 1) * 150)))
+        html = [h.replace(b"<body>", b"<body>" + pad, 1)
+                for h in t.column("html").to_pylist()]
+        t = t.set_column(t.schema.get_field_index("html"), "html",
+                         pa.array(html, pa.binary()))
+        pq.write_table(t, str(src / f"part-{f}.parquet"), row_group_size=25)
+    input_bytes = 1200 * (len(pad) + 500)
+
+    held = []
+    update = resource_manager.ResourceManager.update_usages
+
+    def spy(self, *args, **kwargs):
+        update(self, *args, **kwargs)
+        for op, state in self._topology.items():
+            if op.name.startswith("ReadParquet"):
+                held.append(
+                    state.outqueue_memory_usage()
+                    + op.metrics.obj_store_mem_internal_outqueue
+                    + sum(
+                        c.metrics.obj_store_mem_internal_inqueue
+                        + c.metrics.obj_store_mem_pending_task_inputs
+                        for c in op.output_dependencies
+                    )
+                )
+
+    monkeypatch.setattr(resource_manager.ResourceManager, "update_usages", spy)
+
+    def peak_held(bounded: bool):
+        ds = build_kg_pipeline(str(src), read_blocks=96)
+        ctx = ds.context
+        opts = copy.copy(ctx.execution_options)
+        opts.resource_limits = ExecutionResources.for_limits(
+            object_store_memory=256 << 10
+        )
+        ctx.execution_options = opts
+        if not bounded:
+            ctx.set_config(
+                ENABLED_BACKPRESSURE_POLICIES_CONFIG_KEY,
+                ENABLED_BACKPRESSURE_POLICIES,
+            )
+        held.clear()
+        assert ds.count() > 0
+        return max(held)
+
+    bounded = peak_held(True)
+    unbounded = peak_held(False)
+    assert bounded < 0.25 * input_bytes, (bounded, unbounded, input_bytes)
+    assert unbounded > 0.4 * input_bytes, (bounded, unbounded, input_bytes)
