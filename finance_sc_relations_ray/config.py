@@ -143,10 +143,10 @@ def scaled_config(num_cpus: int) -> KGConfig:
     and training-data pools (``ner_concurrency``) to ~80% of the CPUs,
     the light link pool to a fraction, with fractional CPU reservations
     keeping headroom for the task-pool stages. Nothing here sizes the
-    page stage of ``build_kg_pipeline``: it runs as Ray tasks, one per
-    read bundle, and the dedup exchange turns off Ray Data's
-    per-operator reservation for its plan, so those tasks can use every
-    CPU (``stages.shuffle.salted_dedup``)."""
+    page stage: it runs inside the page read's tasks, one per cluster
+    CPU (``pipelines.kg.read_pages``), and every plan holding it turns
+    off Ray Data's per-operator reservation, so those tasks can use
+    every CPU (``pipelines.kg.linked_docs_dataset``)."""
     # FIXED pool sizes (an int, not an autoscaling tuple): Ray Data's
     # autoscaling pool ramps up too slowly for short CPU-bound jobs —
     # measured load average stuck at ~5 of 32 cores with (1, 32).

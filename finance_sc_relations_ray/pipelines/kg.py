@@ -2,27 +2,31 @@
 
 One streaming ``ray.data.Dataset`` lineage, one physical plan:
 
-    read_parquet(pages; url,html,lang pruned at the read)
-      → map_batches(PageKGActor(...), tasks)       [page-local, models
-                                                    cached per process]
-          per page: lang filter → extract html→text → sentencize + clean
-          → SC gate → NER + alias grouping → pair enumeration + tagging
-          → RE scoring → per-document aggregation → entity linking
-          (broadcast company DB)
-      → map_batches(to_triples)                    [stateless]
+    read_pages(url,html,lang; one row range     ┐ one fused operator:
+               per CPU, row group by row group) │ a read task is a
+      → map_batches(PageKGActor(...))           │ page task [models
+          per page: lang filter → extract       │ cached per process]
+          html→text → sentencize + clean → SC   │
+          gate → NER + alias grouping → pair    │
+          enumeration + tagging → RE scoring →  │
+          per-document aggregation → entity     │
+          linking (broadcast company DB)        │
+      → map_batches(to_triples)                 ┘ [stateless]
       → salted dedup on (subj,pred,obj)            [the one exchange,
                                                     combiner-first]
 
 The input is one row per document, so every stage up to linking is
-local to a page and runs fused in one task UDF (stages/fused.py),
-which Ray Data fuses further with ``to_triples`` and the dedup
-combiner. The composable stage classes (stages/ner.py,
+local to a page and runs fused in one task UDF (stages/fused.py). Ray
+Data fuses it further with the page read in front of it
+(``sources.page_read``: the read plans row ranges from the parquet
+footers, so no split operator sits between), with ``to_triples`` and
+with the dedup combiner. The composable stage classes (stages/ner.py,
 stages/scoring.py, stages/doc_agg.py, stages/link.py) are what
 ``oracle/kg_oracle.py`` composes, and tests/test_pipeline_e2e.py holds
 the pipeline equal to it.
 
-A deduplicating plan runs without Ray Data's per-operator reservation
-(why, and what bounds its memory instead: ``stages.shuffle.salted_dedup``).
+Every plan holding the page stage runs without Ray Data's per-operator
+reservation (why: :func:`linked_docs_dataset`).
 
 Ray is never initialised here (driver / bench / tests own the session).
 """
@@ -39,31 +43,51 @@ import ray.data
 
 from ..config import actor_resources, DEFAULT_CONFIG, KGConfig
 from ..gazetteer import company_db_table
+from ..sources.page_read import PageRowsDatasource, parquet_files
 from ..stages import extract
-from ..stages.shuffle import salted_dedup
-from ..stages.triples import to_triples_batch
+from ..stages.shuffle import partial_dedup_batch, salted_dedup
+from ..stages.triples import TRIPLES_SCHEMA, to_triples_batch
 
 
 def default_read_blocks() -> int:
-    """Read block count for a page read: three per cluster CPU, at
-    least 8 (32 when the cluster cannot be asked)."""
+    """Page task count: one per cluster CPU (8 when the cluster cannot
+    be asked)."""
     try:
-        return max(8, int(ray.cluster_resources().get("CPU", 8)) * 3)
+        return max(1, int(ray.cluster_resources().get("CPU", 8)))
     except Exception:
-        return 32
+        return 8
 
 
-def read_pages(path: str, read_blocks: int | None = None) -> "ray.data.Dataset":
-    """Column-pruned read: the pipeline needs only url, html, lang
-    (never the duplicate ``text`` column or warc_ts).
+def read_pages(
+    path: "str | list[str]",
+    read_blocks: int | None = None,
+    include_paths: bool = False,
+) -> "ray.data.Dataset":
+    """Column-pruned row-range read of ``path`` (a file, a list of
+    files or a directory): the pipeline needs only url, html, lang
+    (never the duplicate ``text`` column or warc_ts), and with
+    ``include_paths`` each row's source file as ``path``.
 
-    ``read_blocks`` overrides the block count: page bytes are small but
-    the per-page compute is heavy, so the byte-based default block
-    sizing would put everything in one block and serialize the whole
-    pipeline — size to ~3-4× the CPU count.
+    ``read_blocks`` is the number of read tasks. It defaults to one per
+    cluster CPU, and to more only when a task's share of the input's
+    uncompressed row-group bytes would pass Ray Data's
+    ``target_max_block_size``; then to a multiple of the CPU count, so
+    that no last wave of tasks runs on part of the CPUs. The read fuses
+    into the page stage that follows it (``sources.page_read``), so a
+    read task is a page task.
     """
-    kw = {"override_num_blocks": read_blocks} if read_blocks else {}
-    return ray.data.read_parquet(path, columns=["url", "html", "lang"], **kw)
+    src = PageRowsDatasource(
+        parquet_files(path), ["url", "html", "lang"], include_paths
+    )
+    if read_blocks is None:
+        read_blocks = default_read_blocks()
+        limit = ray.data.DataContext.get_current().target_max_block_size
+        if limit:
+            waves = -(-src.estimate_inmemory_data_size() // (limit * read_blocks))
+            read_blocks *= max(1, waves)
+    return ray.data.read_datasource(
+        src, override_num_blocks=max(1, min(read_blocks, src.num_rows))
+    )
 
 
 def sentences_dataset(pages: "ray.data.Dataset") -> "ray.data.Dataset":
@@ -87,31 +111,77 @@ def linked_docs_dataset(
 
     The stage is a ``PageKGActor`` instance, not the class, so Ray Data
     runs it on its task pool: task workers keep the models in a
-    per-process cache across executions, and the stage fuses with the
-    stateless maps that follow it. ``num_gpus`` is requested only when
-    ``config.actor_num_gpus`` is set."""
+    per-process cache across executions. It takes whole blocks
+    (``batch_size=None``), so it fuses with the page read in front of it
+    (:func:`read_pages`) and the stateless maps behind it. ``num_gpus``
+    (and a batch size, which Ray requires with it) is requested only
+    when ``config.actor_num_gpus`` is set.
+
+    The plan runs without Ray Data's per-operator reservation. The
+    setting goes on ``pages.context``, which the whole lineage shares (a
+    read copies the global context), so the global ``DataContext`` keeps
+    its defaults. With the reservation on, the page operator got one CPU
+    slot: at most one ``PageKGActor`` call ran at a time behind the
+    dedup exchange's sort barrier, on a 2- and a 4-CPU session, and in a
+    200-page triple-store merge. With it off, the page tasks run on
+    every CPU. perfbench, 2-CPU session on a 4-vCPU host, medians of 10
+    pairs: ``crawl_build`` (1 500 pages) went from 443 to 728 pages/s
+    when the reservation came off behind the exchange; with the read
+    fused and the reservation off in every page-stage plan, a 200-page
+    ``delta_ingest`` merge went from 0.61 to 0.35 s and ``crawl_build``
+    from 803 to 1 078 pages/s. Both parts are needed: in a probe of
+    each alone, a merge's page calls still ran one at a time (a separate
+    read operator held a CPU slot while the page tasks waited for its
+    blocks). In Ray 2.49 the
+    reservation is also the only object-store backpressure, but a fused
+    page read puts no page bytes into the object store: each task reads
+    its row groups one at a time and emits doc rows."""
     from ..stages.fused import PageKGActor
 
     if db_ref is None:
         db_ref = ray.put(
             company_db if company_db is not None else company_db_table()
         )
-    gpus = {"num_gpus": config.actor_num_gpus} if config.actor_num_gpus else {}
+    pages.context.op_resource_reservation_enabled = False
+    kw = (
+        {"num_gpus": config.actor_num_gpus, "batch_size": 64}
+        if config.actor_num_gpus
+        else {"batch_size": None}
+    )
     return pages.map_batches(
-        PageKGActor(config, db_ref=db_ref),
-        batch_format="pyarrow",
-        batch_size=64,
-        **gpus,
+        PageKGActor(config, db_ref=db_ref), batch_format="pyarrow", **kw
+    )
+
+
+def _with_columns(
+    ds: "ray.data.Dataset", empty: pa.Table
+) -> "ray.data.Dataset":
+    """``ds`` plus ``empty``, a block with no rows and ``ds``'s columns.
+
+    Ray 2.49 calls no ``map_batches`` UDF on an empty block and passes
+    the block on without columns, so a plan whose blocks all come out
+    empty (pages with no English page) had no schema. The typed block
+    keeps the triple columns in ``schema()`` whatever the input."""
+    return ds.union(ray.data.from_arrow(empty))
+
+
+def doc_triples_dataset(
+    linked: "ray.data.Dataset", config: KGConfig = DEFAULT_CONFIG
+) -> "ray.data.Dataset":
+    """Linked doc rows → per-document triple rows, meta rows included."""
+    return linked.map_batches(
+        functools.partial(to_triples_batch, config=config), batch_format="pyarrow"
     )
 
 
 def triples_dataset(
     linked: "ray.data.Dataset", config: KGConfig = DEFAULT_CONFIG
 ) -> "ray.data.Dataset":
-    triples = linked.map_batches(
-        functools.partial(to_triples_batch, config=config), batch_format="pyarrow"
+    keys = ["subj", "pred", "obj"]
+    return _with_columns(
+        salted_dedup(doc_triples_dataset(linked, config), keys),
+        partial_dedup_batch(TRIPLES_SCHEMA.empty_table(), keys),
     )
-    return salted_dedup(triples, ["subj", "pred", "obj"])
 
 
 class AliasExtractActor:
@@ -276,8 +346,6 @@ def relation_items_dataset(
     relationshipLabel, predictionScore). Common-Crawl analog: PK =
     ``page#<url>`` (pages have no accession number), values from the
     linked per-doc verdict stream."""
-    if read_blocks is None:
-        read_blocks = default_read_blocks()
     pipeline = linked_docs_dataset(
         read_pages(pages_path, read_blocks), config, company_db
     )
@@ -350,17 +418,14 @@ def build_kg_pipeline(
     score → doc-aggregate → link, and the only exchange is the
     combiner-first triple dedup (``dedup=False`` skips it and returns
     the per-document triple rows, meta rows included). ``read_blocks``
-    defaults to :func:`default_read_blocks`.
+    is the number of page tasks (:func:`read_pages`).
     """
-    if read_blocks is None:
-        read_blocks = default_read_blocks()
     linked = linked_docs_dataset(
         read_pages(pages_path, read_blocks), config, company_db
     )
     if not dedup:
-        return linked.map_batches(
-            functools.partial(to_triples_batch, config=config),
-            batch_format="pyarrow",
+        return _with_columns(
+            doc_triples_dataset(linked, config), TRIPLES_SCHEMA.empty_table()
         )
     return triples_dataset(linked, config)
 

@@ -31,11 +31,14 @@ The store is log-structured, as in an LSM-tree:
   committed. A store without a ``_log/`` dir (written before the log)
   reads every shard file as live; its first writer adopts them in a
   record of its own;
-- a merge is one Ray Data execution with no exchange: the delta crawl
-  through ``build_kg_pipeline(dedup=False)``, a per-batch combiner that
-  drops meta rows, folds the batch and attaches the shard, and
+- a merge is one Ray Data execution with no exchange and one
+  operator: the delta crawl's page read, the page stage and its triple
+  rows (``kg.read_pages`` → ``kg.linked_docs_dataset`` →
+  ``kg.doc_triples_dataset``, one task per CPU, without the
+  per-operator reservation), a per-batch combiner that drops meta rows,
+  folds the batch and attaches the shard, and
   ``write_parquet(partition_cols=["shard"])`` into
-  ``_staging-<seq>-<token>/`` straight from the fused map tasks. The
+  ``_staging-<seq>-<token>/``, all fused into the read tasks. The
   driver combines each shard's written files into ONE run of that
   shard (a read sized to the delta), so a merge adds at most one run
   per shard whatever the number of write tasks, and commits one
@@ -496,7 +499,12 @@ def update_kg_state(
     (:class:`FileExistsError`), and the merge runs on a hardlinked copy
     that is renamed to ``out_dir`` at the end."""
     from ..stages.shuffle import partial_dedup_batch
-    from .kg import DEFAULT_CONFIG, build_kg_pipeline
+    from .kg import (
+        DEFAULT_CONFIG,
+        doc_triples_dataset,
+        linked_docs_dataset,
+        read_pages,
+    )
 
     t0 = time.perf_counter()
     state_dir = os.path.abspath(state_dir)
@@ -533,9 +541,10 @@ def update_kg_state(
         ).cast(STATE_SCHEMA)
 
     t1 = time.perf_counter()
+    config = config or DEFAULT_CONFIG
     (
-        build_kg_pipeline(
-            delta_pages_path, config=config or DEFAULT_CONFIG, dedup=False
+        doc_triples_dataset(
+            linked_docs_dataset(read_pages(delta_pages_path), config), config
         )
         .map_batches(delta_rows, batch_format="pyarrow")
         .write_parquet(staging, partition_cols=["shard"])

@@ -11,7 +11,7 @@ A partition is a deterministic GROUP OF INPUT FILES (sorted file list,
 round-robin assignment) — the resume unit the reference's set-difference
 of processed file ids implies (src/glue/glue_etl.py:649-679). That makes
 the resume skip a READ-LAYER prune: a resumed run passes only the
-unfinished parts' paths to ``read_parquet``, so completed parts' bytes
+unfinished parts' paths to the page read, so completed parts' bytes
 are NEVER read (round 1 re-read everything and discarded 15/16 post-read
 — the judge's S7 finding). Per-part page counts come from parquet
 FOOTERS (no data I/O), and each part ends in an idempotent overwrite of
@@ -40,22 +40,10 @@ import ray
 import ray.data
 
 from ..config import DEFAULT_CONFIG, KGConfig
+from ..sources.page_read import parquet_files
 from ..state.manifest import Manifest
 from ..stages.shuffle import salted_dedup
 from ..stages.triples import to_triples_batch
-
-
-def _input_files(pages_path: str) -> list[str]:
-    if os.path.isdir(pages_path):
-        # recursive: hive-sharded inputs (e.g. crawl_partitioned's
-        # winner corpus, wpart=<k>/ dirs) list their leaf files too
-        return sorted(
-            os.path.join(root, f)
-            for root, _dirs, files in os.walk(pages_path)
-            for f in files
-            if f.endswith(".parquet")
-        )
-    return [pages_path]
 
 
 def run_partitioned(
@@ -76,9 +64,9 @@ def run_partitioned(
     import pyarrow.parquet as pq_
 
     from ..gazetteer import company_db_table
-    from .kg import default_read_blocks, linked_docs_dataset
+    from .kg import linked_docs_dataset, read_pages
 
-    files = _input_files(pages_path)
+    files = parquet_files(pages_path)
     num_parts = min(num_parts, len(files))
     part_files = {p: files[p::num_parts] for p in range(num_parts)}
 
@@ -98,7 +86,6 @@ def run_partitioned(
         "files_read": 0,
     }
     db_ref = ray.put(company_db_table())
-    read_blocks = default_read_blocks()
 
     for chunk in chunks:
         # ONE dataset execution per CHUNK of parts, not one per part:
@@ -121,12 +108,7 @@ def run_partitioned(
             for p in chunk
         }
 
-        pages = ray.data.read_parquet(
-            chunk_paths,
-            columns=["url", "html", "lang"],
-            include_paths=True,
-            override_num_blocks=read_blocks,
-        )
+        pages = read_pages(chunk_paths, include_paths=True)
 
         def tag_part(batch: pa.Table, _fp=file_part) -> pa.Table:
             parts = [_fp[p] for p in batch["path"].to_pylist()]

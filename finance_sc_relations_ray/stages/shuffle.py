@@ -37,15 +37,6 @@ from __future__ import annotations
 import pyarrow as pa
 
 import ray.data
-from ray.data._internal.execution.backpressure_policy import (
-    ENABLED_BACKPRESSURE_POLICIES,
-    ENABLED_BACKPRESSURE_POLICIES_CONFIG_KEY,
-    BackpressurePolicy,
-)
-from ray.data._internal.execution.operators.input_data_buffer import (
-    InputDataBuffer,
-)
-from ray.data._internal.execution.operators.map_operator import MapOperator
 
 # Fusion blocker for whole-group map_groups stages. Ray 2.49's operator
 # fusion will fuse a map_groups-generated map op with a downstream map
@@ -228,50 +219,6 @@ def _merge_bucket(g, keys: list[str]):
     )
 
 
-class ReadAheadBound(BackpressurePolicy):
-    """Ray Data backpressure policy: a read may not run ahead of the
-    map operator it feeds by more than the execution's object-store
-    limit.
-
-    Without the per-operator reservation Ray 2.49 has no object-store
-    backpressure at all, so a read whose consumer is slow (the page
-    stage) loads its whole input into the object store and spills what
-    does not fit. This policy holds back only a read (an operator fed
-    by the plan's input) whose consumers are all map operators, and
-    only while the bytes it produced that no consumer task has started
-    on reach the limit; blocks held by running consumer tasks do not
-    count, so the consumers never starve. A read feeding an all-to-all
-    is left alone: the exchange needs its whole input anyway."""
-
-    def can_add_input(self, op) -> bool:
-        consumers = op.output_dependencies
-        if not (
-            consumers
-            and all(isinstance(d, InputDataBuffer) for d in op.input_dependencies)
-            and all(isinstance(c, MapOperator) for c in consumers)
-        ):
-            return True
-        rm = self._resource_manager
-        waiting = rm.get_op_usage(op).object_store_memory - sum(
-            c.metrics.obj_store_mem_pending_task_inputs for c in consumers
-        )
-        return waiting < rm.get_global_limits().object_store_memory
-
-
-def _run_without_reservation(ctx: "ray.data.DataContext") -> None:
-    """Turn off Ray Data's per-operator reservation on ``ctx`` and
-    bound the read's run-ahead with ``ReadAheadBound`` instead."""
-    ctx.op_resource_reservation_enabled = False
-    policies = ctx.get_config(
-        ENABLED_BACKPRESSURE_POLICIES_CONFIG_KEY, ENABLED_BACKPRESSURE_POLICIES
-    )
-    if ReadAheadBound not in policies:
-        ctx.set_config(
-            ENABLED_BACKPRESSURE_POLICIES_CONFIG_KEY,
-            [*policies, ReadAheadBound],
-        )
-
-
 def salted_dedup(
     ds: "ray.data.Dataset", keys: list[str], num_buckets: int | None = None
 ) -> "ray.data.Dataset":
@@ -286,29 +233,9 @@ def salted_dedup(
 
     ``num_buckets`` defaults to the cluster-derived
     ``config.exchange_fanout()`` (resolved at plan time) so reducer
-    parallelism scales with the cluster instead of capping at 64.
-
-    The exchange turns off Ray Data's per-operator resource reservation
-    on ``ds.context``, the context its whole lineage shares (a read
-    copies the global one), so the global context and the exchange-free
-    triple-store merge (``kg_state.update_kg_state``) keep the default.
-    With the reservation on, the page operator in front of the sort
-    barrier and the 0.99-CPU merge behind it split the session's CPUs,
-    and at most one ``PageKGActor`` call ran at a time on a 2- and a
-    4-CPU session; with it off, 2 and 4 ran at once. perfbench
-    ``crawl_build`` (1 500 pages, a 2-CPU session on a 4-vCPU host) went
-    from 443 to 728 pages/s, medians of 10 pairs.
-
-    In Ray 2.49 the reservation is also the only object-store
-    backpressure, so the same context gets ``ReadAheadBound`` in its
-    place. Without it, a build whose pages (290 MiB in memory) were 2.3×
-    a 128 MiB object store spilled 213–285 MiB, its whole read, and used
-    25 % more CPU; with it, 0–2 MiB spilled. Peak PSS stays ~20 % over
-    the reserved plan (1 250–1 300 vs 1 040–1 050 MB): two page tasks
-    hold their blocks at once instead of one."""
+    parallelism scales with the cluster instead of capping at 64."""
     from ..config import exchange_fanout
 
-    _run_without_reservation(ds.context)
     num_buckets = exchange_fanout(num_buckets)
     partial = ds.map_batches(
         lambda b: partial_dedup_batch(b, keys), batch_format="pyarrow"
@@ -330,8 +257,10 @@ def salted_dedup(
         ).astype("int32")
         return batch.append_column("__dbucket", pa.array(hb, pa.int32()))
 
-    def merge(block):
-        return _merge_bucket(block.drop(columns=["__dbucket"]), keys)
+    def merge(block: pa.Table) -> pa.Table:
+        return partial_dedup_batch(block.drop_columns(["__dbucket"]), keys).sort_by(
+            [(k, "ascending") for k in keys]
+        )
 
     # The sort range-partitions on the bucket, so a bucket never spans
     # blocks and one merge per sorted block (batch_size=None: the whole
@@ -346,7 +275,7 @@ def salted_dedup(
         .map_batches(
             merge,
             batch_size=None,
-            batch_format="pandas",
+            batch_format="pyarrow",
             num_cpus=NO_FUSE_NUM_CPUS,
         )
     )

@@ -71,3 +71,7 @@ class BuildRendezvousTagger(_RendezvousTagger):
 
 class CrawlRendezvousTagger(_RendezvousTagger):
     BARRIER = "crawl-page-rendezvous"
+
+
+class MergeRendezvousTagger(_RendezvousTagger):
+    BARRIER = "merge-page-rendezvous"

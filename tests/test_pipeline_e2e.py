@@ -1,8 +1,14 @@
 """End-to-end: distributed Ray Data pipeline == single-process oracle,
 exactly (stronger than the P/R ≥ 0.95 target)."""
 
+import os
+
+import pandas as pd
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+import ray
+import ray.data
 
 from finance_sc_relations_ray.pipelines.kg import build_kg_pipeline
 from finance_sc_relations_ray.sources.pages import generate_pages
@@ -216,82 +222,123 @@ def test_page_stage_overlaps_behind_the_dedup_exchange(pages_path, build, tagger
         ray.kill(barrier)
 
 
-def test_dedup_reservation_stays_on_its_own_plan(pages_path, tmp_path, monkeypatch):
-    """The deduplicating build executes with the per-operator
-    reservation off and the read-ahead bound on, the global
-    ``DataContext`` keeps its values, and the triple-store merge plan
-    (no exchange) still runs with the default."""
+def test_page_stage_overlaps_in_a_merge(tmp_path):
+    """A triple-store merge runs its page stage in two processes at
+    once (the barrier of the test above). With the page read as its own
+    operator and the per-operator reservation on, one merge ran a single
+    page task at a time."""
+    from finance_sc_relations_ray.config import KGConfig
+    from finance_sc_relations_ray.pipelines.kg_state import (
+        build_kg_state,
+        read_kg_state,
+        update_kg_state,
+    )
+    from tests import page_rendezvous
+
+    base, delta = str(tmp_path / "base.parquet"), str(tmp_path / "delta.parquet")
+    pq.write_table(generate_pages(list(range(20))), base)
+    pq.write_table(generate_pages(list(range(20, 60))), delta)
+    state = build_kg_state(base, str(tmp_path / "state"))
+    n_base = len(read_kg_state(state))
+    backend = page_rendezvous.MergeRendezvousTagger
+    barrier = page_rendezvous.TwoPartyBarrier.options(
+        name=backend.BARRIER
+    ).remote()
+    try:
+        cfg = KGConfig(ner_backend="tests.page_rendezvous:MergeRendezvousTagger")
+        update_kg_state(state, delta, state, config=cfg)
+        assert len(read_kg_state(state)) > n_base
+        assert ray.get(barrier.met.remote())
+    finally:
+        ray.kill(barrier)
+
+
+def test_page_stage_plans_run_without_reservation(pages_path, tmp_path, monkeypatch):
+    """Every plan holding the page stage starts with the page read fused
+    into it (no read operator of its own) and executes with the
+    per-operator reservation off: the build, the composed crawl, the
+    triple-store build and merge, and the partitioned runner. The global
+    ``DataContext`` keeps its values after each, and ``merge_parts``,
+    which has no page stage, runs with the default."""
     import inspect
 
     from ray.data import DataContext
     from ray.data._internal.execution import resource_manager
-    from ray.data._internal.execution.backpressure_policy import (
-        ENABLED_BACKPRESSURE_POLICIES_CONFIG_KEY as POLICIES,
-    )
 
+    from finance_sc_relations_ray.pipelines.kg import kg_from_crawl
     from finance_sc_relations_ray.pipelines.kg_state import (
         build_kg_state,
         update_kg_state,
     )
-    from finance_sc_relations_ray.stages.shuffle import ReadAheadBound
+    from finance_sc_relations_ray.pipelines.run import merge_parts, run_partitioned
 
     seen = []
     init = resource_manager.ResourceManager.__init__
 
     def spy(self, *args, **kwargs):
         bound = inspect.signature(init).bind(self, *args, **kwargs).arguments
-        ctx = bound["data_context"]
         seen.append((
-            " ".join(op.name for op in bound["topology"]),
-            ctx.op_resource_reservation_enabled,
-            ReadAheadBound in ctx.get_config(POLICIES, []),
+            [op.name for op in bound["topology"]],
+            bound["data_context"].op_resource_reservation_enabled,
         ))
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(resource_manager.ResourceManager, "__init__", spy)
     glob = DataContext.get_current()
 
-    def unchanged():
+    def page_plans(fused_read=True):
+        plans = [(ops, on) for ops, on in seen if any(
+            "PageKGActor" in op for op in ops)]
+        assert plans, seen
+        for ops, on in plans:
+            assert on is False, ops
+            if fused_read:
+                reads = [op for op in ops if op.startswith("Read")]
+                assert len(reads) == 1, ops
+                assert reads[0].startswith("ReadPageRows->"), ops
+                assert "MapBatches(PageKGActor)" in reads[0], ops
         assert glob.op_resource_reservation_enabled is True
-        assert glob.get_config(POLICIES) is None
-
-    unchanged()
+        seen.clear()
+        return len(plans)
 
     build_kg_pipeline(pages_path).to_pandas()
-    assert [(on, rab) for ops, on, rab in seen if "PageKGActor" in ops] == [
-        (False, True)
-    ]
-    unchanged()
+    assert page_plans() == 1
+    build_kg_pipeline(pages_path, dedup=False).to_pandas()
+    assert page_plans() == 1
+    # the page stage follows the url-winner exchange there
+    kg_from_crawl(pages_path).to_pandas()
+    assert page_plans(fused_read=False) == 1
 
-    seen.clear()
     delta = str(tmp_path / "delta.parquet")
     pq.write_table(generate_pages(list(range(120, 130))), delta)
     state = build_kg_state(pages_path, str(tmp_path / "state"))
     update_kg_state(state, delta, state)
-    merges = [(on, rab) for ops, on, rab in seen if "PageKGActor" in ops]
-    assert merges == [(True, False), (True, False)], seen
-    unchanged()
+    assert page_plans() == 2
+
+    out = str(tmp_path / "parts")
+    run_partitioned(pages_path, out, num_parts=1)
+    assert page_plans() >= 1
+    merge_parts(out, local_rows_gate=0).to_pandas()
+    assert [on for _, on in seen] and all(on for _, on in seen), seen
 
 
-def test_read_ahead_bound_holds_back_the_page_read(tmp_path, monkeypatch):
-    """Without the reservation, ``ReadAheadBound`` keeps the page read
-    from loading its input into the object store ahead of the page
-    stage. The execution's object-store limit is set to 256 KiB; the test
-    samples the bytes the read has produced that are still in the plan
-    on every scheduling step. Bounded, that stays near the blocks the
-    page tasks hold; the same plan without the bound holds most of the
-    input."""
+def test_fused_page_read_keeps_pages_out_of_the_object_store(tmp_path, monkeypatch):
+    """Without the reservation Ray Data has no object-store backpressure
+    on a read, but a read fused into the page tasks puts no page bytes
+    into the object store. The execution's object-store limit is set to
+    256 KiB; the test samples the bytes every operator of the plan holds
+    in the object store on every scheduling step. The fused plan stays
+    far below the input; the same pages read by a separate read operator
+    (``ray.data.read_parquet``) in front of the same page stage pile up
+    in the object store."""
     import copy
 
-    import pyarrow as pa
     from ray.data._internal.execution import resource_manager
-    from ray.data._internal.execution.backpressure_policy import (
-        ENABLED_BACKPRESSURE_POLICIES,
-        ENABLED_BACKPRESSURE_POLICIES_CONFIG_KEY,
-    )
     from ray.data._internal.execution.interfaces.execution_options import (
         ExecutionResources,
     )
+
+    from finance_sc_relations_ray.pipelines.kg import linked_docs_dataset
 
     # 24 MiB of html in 8 files (boilerplate markup the extractor skips)
     pad = b"<div class='nav'>" + b"<a href='/s'>section</a>" * 850 + b"</div>"
@@ -311,38 +358,72 @@ def test_read_ahead_bound_holds_back_the_page_read(tmp_path, monkeypatch):
 
     def spy(self, *args, **kwargs):
         update(self, *args, **kwargs)
-        for op, state in self._topology.items():
-            if op.name.startswith("ReadParquet"):
-                held.append(
-                    state.outqueue_memory_usage()
-                    + op.metrics.obj_store_mem_internal_outqueue
-                    + sum(
-                        c.metrics.obj_store_mem_internal_inqueue
-                        + c.metrics.obj_store_mem_pending_task_inputs
-                        for c in op.output_dependencies
-                    )
-                )
+        held.append(sum(
+            state.outqueue_memory_usage()
+            + op.metrics.obj_store_mem_internal_outqueue
+            + op.metrics.obj_store_mem_internal_inqueue
+            + op.metrics.obj_store_mem_pending_task_inputs
+            for op, state in self._topology.items()
+        ))
 
     monkeypatch.setattr(resource_manager.ResourceManager, "update_usages", spy)
 
-    def peak_held(bounded: bool):
-        ds = build_kg_pipeline(str(src), read_blocks=96)
+    def peak_held(ds):
         ctx = ds.context
         opts = copy.copy(ctx.execution_options)
         opts.resource_limits = ExecutionResources.for_limits(
             object_store_memory=256 << 10
         )
         ctx.execution_options = opts
-        if not bounded:
-            ctx.set_config(
-                ENABLED_BACKPRESSURE_POLICIES_CONFIG_KEY,
-                ENABLED_BACKPRESSURE_POLICIES,
-            )
         held.clear()
         assert ds.count() > 0
         return max(held)
 
-    bounded = peak_held(True)
-    unbounded = peak_held(False)
-    assert bounded < 0.25 * input_bytes, (bounded, unbounded, input_bytes)
-    assert unbounded > 0.4 * input_bytes, (bounded, unbounded, input_bytes)
+    fused = peak_held(build_kg_pipeline(str(src)))
+    separate = peak_held(linked_docs_dataset(ray.data.read_parquet(
+        str(src), columns=["url", "html", "lang"], override_num_blocks=96)))
+    assert fused < 0.25 * input_bytes, (fused, separate, input_bytes)
+    assert separate > 0.4 * input_bytes, (fused, separate, input_bytes)
+
+
+def test_no_english_page_keeps_the_triple_columns(tmp_path):
+    """Pages with no English page make no triples. The Dataset still has
+    the triple columns (Ray calls no map UDF on an empty block and
+    passed the block on without its columns), and merging such a delta
+    commits an empty merge."""
+    import json
+
+    from finance_sc_relations_ray.pipelines.kg_state import (
+        build_kg_state,
+        read_kg_state,
+        update_kg_state,
+    )
+    from finance_sc_relations_ray.stages.triples import TRIPLES_SCHEMA
+
+    pages = generate_pages(list(range(20)))
+    de = str(tmp_path / "de.parquet")
+    pq.write_table(pages.set_column(
+        pages.schema.get_field_index("lang"), "lang",
+        pa.array(["de"] * pages.num_rows, pa.string()),
+    ), de)
+
+    docs = build_kg_pipeline(de, dedup=False)
+    assert docs.count() == 0
+    assert docs.schema().names == TRIPLES_SCHEMA.names
+    triples = build_kg_pipeline(de)
+    assert triples.count() == 0
+    assert sorted(triples.schema().names) == sorted(
+        TRIPLES_SCHEMA.names + ["n_mentions"])
+
+    base = str(tmp_path / "base.parquet")
+    pq.write_table(pages, base)
+    state = build_kg_state(base, str(tmp_path / "state"))
+    before = read_kg_state(state)
+    update_kg_state(state, de, state)
+    log = sorted(os.listdir(os.path.join(state, "_log")))
+    with open(os.path.join(state, "_log", log[-1])) as f:
+        record = json.load(f)
+    assert record["kind"] == "merge"
+    assert record["adds"] == {} and record["shards_touched"] == []
+    assert record["delta"]["rows"] == pages.num_rows
+    pd.testing.assert_frame_equal(read_kg_state(state), before)
