@@ -49,13 +49,18 @@ from ..stages.shuffle import partial_dedup_batch, salted_dedup
 from ..stages.triples import TRIPLES_SCHEMA, to_triples_batch
 
 
-def default_read_blocks() -> int:
-    """Page task count: one per cluster CPU (8 when the cluster cannot
-    be asked)."""
+def _cluster_cpus() -> int:
+    """The cluster's CPU count (8 when the cluster cannot be asked)."""
     try:
         return max(1, int(ray.cluster_resources().get("CPU", 8)))
     except Exception:
         return 8
+
+
+def default_read_blocks() -> int:
+    """Block count for ``kg_from_crawl``'s page stage, which the url
+    fold's exchange feeds: three per cluster CPU, at least 8."""
+    return max(8, 3 * _cluster_cpus())
 
 
 def read_pages(
@@ -63,31 +68,46 @@ def read_pages(
     read_blocks: int | None = None,
     include_paths: bool = False,
 ) -> "ray.data.Dataset":
-    """Column-pruned row-range read of ``path`` (a file, a list of
-    files or a directory): the pipeline needs only url, html, lang
-    (never the duplicate ``text`` column or warc_ts), and with
-    ``include_paths`` each row's source file as ``path``.
+    """The page read of a page-stage plan: a column-pruned row-range
+    read of ``path`` (a file, a list of files or a directory). The
+    pipeline needs only url, html, lang (never the duplicate ``text``
+    column or warc_ts), and with ``include_paths`` each row's source
+    file as ``path``. The read fuses into the page stage that follows
+    it (``sources.page_read``), so a read task is a page task.
 
     ``read_blocks`` is the number of read tasks. It defaults to one per
-    cluster CPU, and to more only when a task's share of the input's
+    cluster CPU. It is raised only when a task's share of the input's
     uncompressed row-group bytes would pass Ray Data's
-    ``target_max_block_size``; then to a multiple of the CPU count, so
-    that no last wave of tasks runs on part of the CPUs. The read fuses
-    into the page stage that follows it (``sources.page_read``), so a
-    read task is a page task.
+    ``target_max_block_size``: to a multiple of the CPU count, so that
+    no last wave of tasks runs on part of the CPUs, but never past the
+    input's row-group count, since a row group shared by more tasks is
+    decoded once by each of them.
     """
     src = PageRowsDatasource(
         parquet_files(path), ["url", "html", "lang"], include_paths
     )
     if read_blocks is None:
-        read_blocks = default_read_blocks()
+        read_blocks = _cluster_cpus()
         limit = ray.data.DataContext.get_current().target_max_block_size
         if limit:
             waves = -(-src.estimate_inmemory_data_size() // (limit * read_blocks))
-            read_blocks *= max(1, waves)
+            if waves > 1:
+                read_blocks = max(
+                    read_blocks, min(read_blocks * waves, src.num_row_groups)
+                )
     return ray.data.read_datasource(
         src, override_num_blocks=max(1, min(read_blocks, src.num_rows))
     )
+
+
+def read_page_columns(
+    path: str, read_blocks: int | None = None
+) -> "ray.data.Dataset":
+    """``read_parquet`` of the page columns, for the plans that feed an
+    actor pool rather than the page stage (alias items, training data):
+    Ray's own block sizing, or ``read_blocks`` blocks."""
+    kw = {"override_num_blocks": read_blocks} if read_blocks else {}
+    return ray.data.read_parquet(path, columns=["url", "html", "lang"], **kw)
 
 
 def sentences_dataset(pages: "ray.data.Dataset") -> "ray.data.Dataset":
@@ -128,8 +148,8 @@ def linked_docs_dataset(
     pairs: ``crawl_build`` (1 500 pages) went from 443 to 728 pages/s
     when the reservation came off behind the exchange; with the read
     fused and the reservation off in every page-stage plan, a 200-page
-    ``delta_ingest`` merge went from 0.61 to 0.35 s and ``crawl_build``
-    from 803 to 1 078 pages/s. Both parts are needed: in a probe of
+    ``delta_ingest`` merge went from 0.61 to 0.37 s and ``crawl_build``
+    from 829 to 1 018 pages/s. Both parts are needed: in a probe of
     each alone, a merge's page calls still ran one at a time (a separate
     read operator held a CPU slot while the page tasks waited for its
     blocks). In Ray 2.49 the
@@ -251,7 +271,7 @@ def alias_items_dataset(
     entity id, which is the canonical-entity attachment a KG consumer
     needs. Unlinked targets keep a null entity_id and an
     ``alias#unlinked#...`` key."""
-    pages = read_pages(pages_path, read_blocks)
+    pages = read_page_columns(pages_path, read_blocks)
     sentences = sentences_dataset(pages)
 
     ds = sentences.map_batches(
@@ -467,7 +487,7 @@ def kg_from_crawl(
 
     # the fold's output keeps its read's block count, one block for a
     # small crawl, which would run the whole page stage as one task;
-    # split it as build_kg_pipeline's read does
+    # split it, three blocks per CPU (each block is one page call)
     pages = winners.repartition(default_read_blocks()).map_batches(
         to_pages, batch_format="pyarrow"
     )

@@ -381,10 +381,10 @@ def _fold_runs(store: str, runs: list[str]) -> pa.Table:
         partitioning="hive",
         partition_base_dir=store,
     ).to_table()
-    return pa.Table.from_pandas(
-        _merge_bucket(rows.to_pandas(), STATE_KEYS + ["shard"]),
-        schema=STATE_SCHEMA,
-        preserve_index=False,
+    return (
+        _merge_bucket(rows, STATE_KEYS + ["shard"])
+        .select(STATE_SCHEMA.names)
+        .cast(STATE_SCHEMA)
     )
 
 

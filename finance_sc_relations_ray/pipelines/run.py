@@ -310,14 +310,14 @@ def merge_parts(
     ``local_rows_gate`` rows
     (tens of MB; per-part outputs are already part-deduped), the
     exchange's ~2.4 s of task-launch floor at bench scale buys
-    nothing — merge locally with the SAME kernels the distributed
-    path runs (``partial_dedup_batch`` whole-table combine +
-    ``_merge_bucket`` merge/sort; associative, so one local pass
-    equals the bucketed plan row-for-row). Above the gate — any real
+    nothing — merge locally with the SAME kernel the distributed
+    path's bucket merge runs (``_merge_bucket``: whole-table combine
+    and key sort; associative, so one local pass equals the bucketed
+    plan row-for-row). Above the gate — any real
     run — the salted exchange is unchanged. ``local_rows_gate=0``
     disables the collapse."""
     from ..sources.io import sized_read_parquet
-    from ..stages.shuffle import _merge_bucket, partial_dedup_batch
+    from ..stages.shuffle import _merge_bucket
 
     import pyarrow.parquet as pq
 
@@ -334,9 +334,7 @@ def merge_parts(
         if not tables:
             return ds
         tbl = pa.concat_tables(tables, promote_options="default")
-        combined = partial_dedup_batch(tbl, keys)
-        merged = _merge_bucket(combined.to_pandas(), keys)
-        return ray.data.from_pandas(merged)
+        return ray.data.from_arrow(_merge_bucket(tbl, keys))
     return salted_dedup(ds, keys)
 
 

@@ -24,7 +24,7 @@ from ..config import actor_resources, DEFAULT_CONFIG, KGConfig
 from ..functions.fuzzy import hash_split
 from ..functions.tagging import inverse_relations
 from ..config import INVERSE_RELATION
-from .kg import read_pages, sentences_dataset
+from .kg import read_page_columns, sentences_dataset
 
 LABELS = ("supplier", "customer", "other")
 
@@ -107,7 +107,7 @@ def build_training_data(
     seed: int = 42,
 ) -> "ray.data.Dataset":
     """pages parquet → labeled, split, (train-)augmented examples."""
-    sentences = sentences_dataset(read_pages(pages_path))
+    sentences = sentences_dataset(read_page_columns(pages_path))
     examples = sentences.map_batches(
         TaggedExampleActor,
         fn_constructor_kwargs={"config": config},

@@ -9,9 +9,13 @@ wait for them.
 
 :class:`PageRowsDatasource` plans the read from the parquet footers
 alone: the input's rows, in file order, cut into ``n`` contiguous
-ranges, one read task each. A task reads the row groups its range
-touches, only the requested columns, and yields one block per row
-group, so it streams its range instead of concatenating it. Since
+ranges, one read task each. With at least ``n`` row groups the cuts
+fall on row-group boundaries (balanced by rows), so every row group is
+decoded by exactly one task. Only an input with fewer row groups than
+tasks is cut inside a row group; a task then decodes that group in
+batches of its own row count and stops at the end of its range. A task
+reads only the requested columns and yields one block per row group it
+touches, so it streams its range instead of concatenating it. Since
 ``get_read_tasks(n)`` returns ``n`` tasks, Ray adds no split, and a
 ``map_batches(batch_size=None)`` behind the read fuses into the read
 task itself.
@@ -19,6 +23,7 @@ task itself.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import os
@@ -45,21 +50,42 @@ def parquet_files(path: "str | list[str]") -> list[str]:
     return [path]
 
 
+def _group_rows(
+    pf: pq.ParquetFile, g: int, lo: int, hi: int, columns: list[str]
+) -> pa.Table:
+    """Rows ``[lo, hi)`` of row group ``g``, decoded in batches of
+    ``hi - lo`` rows and no further than ``hi``: the tasks that share a
+    row group each hold their own rows, never the whole group."""
+    out, at = [], 0
+    for b in pf.iter_batches(batch_size=hi - lo, row_groups=[g], columns=columns):
+        a, z = max(lo, at), min(hi, at + b.num_rows)
+        if a < z:
+            out.append(b.slice(a - at, z - a))
+        at += b.num_rows
+        if at >= hi:
+            break
+    return pa.Table.from_batches(out)
+
+
 def _read_pieces(
     files: list[str],
     columns: list[str],
-    pieces: list[tuple[int, int, int, int]],
+    pieces: list[tuple[int, int, int, int, int]],
     include_paths: bool,
     schema: pa.Schema,
 ):
-    """Yield one block per (file, row group, first row, end row) piece."""
+    """Yield one block per (file, row group, first row, end row, group
+    rows) piece; ``files`` holds only this task's files."""
     if not pieces:
         yield schema.empty_table()
         return
     for fi, in_file in itertools.groupby(pieces, key=lambda p: p[0]):
         with pq.ParquetFile(files[fi]) as pf:
-            for _, g, lo, hi in in_file:
-                t = pf.read_row_group(g, columns=columns).slice(lo, hi - lo)
+            for _, g, lo, hi, rows in in_file:
+                if hi - lo == rows:
+                    t = pf.read_row_group(g, columns=columns)
+                else:
+                    t = _group_rows(pf, g, lo, hi, columns)
                 if include_paths:
                     t = t.append_column(
                         "path", pa.array([files[fi]] * t.num_rows, pa.string())
@@ -70,7 +96,8 @@ def _read_pieces(
 class PageRowsDatasource(Datasource):
     """The rows of parquet ``files`` (``columns`` only, plus the source
     file as ``path`` with ``include_paths``), read as contiguous row
-    ranges (module docstring)."""
+    ranges (module docstring). Every file must give ``columns`` the
+    same types."""
 
     def __init__(
         self,
@@ -86,10 +113,19 @@ class PageRowsDatasource(Datasource):
         self.num_rows = 0
         schema = None
         for fi, f in enumerate(files):
-            md = pq.read_metadata(f)
+            with pq.ParquetFile(f) as pf:
+                arrow, md = pf.schema_arrow, pf.metadata
+            missing = [c for c in columns if c not in arrow.names]
+            if missing:
+                raise ValueError(f"{f} has no column(s) {missing}")
+            fields = pa.schema([arrow.field(c) for c in columns])
             if schema is None:
-                full = md.schema.to_arrow_schema()
-                schema = pa.schema([full.field(c) for c in columns])
+                schema = fields
+            elif fields.types != schema.types:
+                raise ValueError(
+                    f"{f} types the columns as {fields}, "
+                    f"but {files[0]} as {schema}"
+                )
             leaves = [
                 i for i in range(md.num_columns)
                 if md.schema.column(i).path.split(".")[0] in columns
@@ -109,14 +145,37 @@ class PageRowsDatasource(Datasource):
             schema = schema.append(pa.field("path", pa.string()))
         self._schema = schema
 
+    @property
+    def num_row_groups(self) -> int:
+        """Row groups that hold rows."""
+        return len(self._groups)
+
     def estimate_inmemory_data_size(self) -> int:
         return sum(g[4] for g in self._groups)
+
+    def _bounds(self, n: int) -> list[int]:
+        """``n + 1`` input offsets cutting the rows into ``n`` ranges:
+        on the row-group boundaries nearest to even shares when there
+        are at least ``n`` row groups, at even shares otherwise."""
+        total, groups = self.num_rows, self._groups
+        if len(groups) < n:
+            return [total * i // n for i in range(n + 1)]
+        starts = [g[2] for g in groups] + [total]
+        cuts = [0]
+        for i in range(1, n):
+            target = total * i // n
+            j = bisect.bisect_left(starts, target)
+            if j > 0 and target - starts[j - 1] <= starts[j] - target:
+                j -= 1
+            # every range keeps at least one row group
+            cuts.append(min(max(j, cuts[-1] + 1), len(groups) - (n - i)))
+        return [starts[c] for c in cuts] + [total]
 
     def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
         """``parallelism`` contiguous row ranges (fewer when the input
         has fewer rows; one empty task for an input with none)."""
         n = max(1, min(parallelism, self.num_rows))
-        bounds = [self.num_rows * i // n for i in range(n + 1)]
+        bounds = self._bounds(n)
         tasks = []
         for lo, hi in zip(bounds, bounds[1:]):
             pieces, nbytes, used = [], 0, []
@@ -124,10 +183,10 @@ class PageRowsDatasource(Datasource):
                 a, b = max(lo, start), min(hi, start + rows)
                 if a >= b:
                     continue
-                pieces.append((fi, g, a - start, b - start))
-                nbytes += size * (b - a) // rows
-                if self._files[fi] not in used:
+                if not used or used[-1] != self._files[fi]:
                     used.append(self._files[fi])
+                pieces.append((len(used) - 1, g, a - start, b - start, rows))
+                nbytes += size * (b - a) // rows
             meta = BlockMetadata(
                 num_rows=hi - lo,
                 size_bytes=nbytes,
@@ -138,7 +197,7 @@ class PageRowsDatasource(Datasource):
                 ReadTask(
                     functools.partial(
                         _read_pieces,
-                        self._files,
+                        used,
                         self._columns,
                         pieces,
                         self._include_paths,

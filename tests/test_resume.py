@@ -85,6 +85,10 @@ def test_merge_parts_local_collapse_equals_distributed(pages_path, tmp_path):
     local = local.sort_values(key).reset_index(drop=True)
     dist = dist.sort_values(key).reset_index(drop=True)
     assert sorted(local.columns) == sorted(dist.columns)
+    # one kernel: both branches hand back the same cell types
+    assert {c: type(local[c][0]) for c in dist.columns} == {
+        c: type(dist[c][0]) for c in dist.columns
+    }
     for c in dist.columns:
         lv, dv = local[c].tolist(), dist[c].tolist()
         if c == "sentence_ids":
