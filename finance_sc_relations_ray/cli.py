@@ -5,8 +5,10 @@
 
 Owns its Ray session (guarded init: under ``ray job submit`` the
 cluster address env is already set; standalone it starts local mode).
-Resumable: re-running with the same ``--out`` skips completed
-partitions via the manifest (pipelines/run.py).
+``--out`` is a triple store (pipelines/kg_state.py) that every chunk of
+input files merges into. Resumable: re-running with the same ``--out``
+merges only the input files the store's log does not hold yet
+(pipelines/run.py).
 """
 
 from __future__ import annotations
@@ -182,13 +184,13 @@ def main(argv: list[str] | None = None) -> int:
         return _check_backend_main(argv[1:])
     p = argparse.ArgumentParser(description="Ray Data KG construction")
     p.add_argument("--pages", required=True, help="pages parquet file/dir")
-    p.add_argument("--out", required=True, help="output dir (partitioned triples)")
+    p.add_argument("--out", required=True, help="output dir (triple store)")
     p.add_argument("--num-parts", type=int, default=64)
     p.add_argument("--parts-per-chunk", type=int, default=16)
     p.add_argument("--num-cpus", type=int, default=None,
                    help="local-mode CPU count (ignored on a cluster)")
     p.add_argument("--merge", action="store_true",
-                   help="also write the globally-deduplicated merge")
+                   help="also write the store's folded triples to <out>_merged")
     args = p.parse_args(argv)
 
     import ray

@@ -66,13 +66,11 @@ def default_read_blocks() -> int:
 def read_pages(
     path: "str | list[str]",
     read_blocks: int | None = None,
-    include_paths: bool = False,
 ) -> "ray.data.Dataset":
     """The page read of a page-stage plan: a column-pruned row-range
     read of ``path`` (a file, a list of files or a directory). The
     pipeline needs only url, html, lang (never the duplicate ``text``
-    column or warc_ts), and with ``include_paths`` each row's source
-    file as ``path``. The read fuses into the page stage that follows
+    column or warc_ts). The read fuses into the page stage that follows
     it (``sources.page_read``), so a read task is a page task.
 
     ``read_blocks`` is the number of read tasks. It defaults to one per
@@ -83,9 +81,7 @@ def read_pages(
     input's row-group count, since a row group shared by more tasks is
     decoded once by each of them.
     """
-    src = PageRowsDatasource(
-        parquet_files(path), ["url", "html", "lang"], include_paths
-    )
+    src = PageRowsDatasource(parquet_files(path), ["url", "html", "lang"])
     if read_blocks is None:
         read_blocks = _cluster_cpus()
         limit = ray.data.DataContext.get_current().target_max_block_size
@@ -124,7 +120,7 @@ def linked_docs_dataset(
     company_db: pa.Table | None = None,
     db_ref=None,
 ) -> "ray.data.Dataset":
-    """Page rows (url, html, lang; optionally ``__part``) → linked
+    """Page rows (url, html, lang) → linked
     per-document verdict rows, through one ``PageKGActor`` stage run as
     Ray tasks. The company DB is broadcast once via ``ray.put`` (pass
     ``db_ref`` to reuse a ref across executions) and linked inline.

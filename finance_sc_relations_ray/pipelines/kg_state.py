@@ -35,15 +35,16 @@ The store is log-structured, as in an LSM-tree:
   operator: the delta crawl's page read, the page stage and its triple
   rows (``kg.read_pages`` → ``kg.linked_docs_dataset`` →
   ``kg.doc_triples_dataset``, one task per CPU, without the
-  per-operator reservation), a per-batch combiner that drops meta rows,
-  folds the batch and attaches the shard, and
-  ``write_parquet(partition_cols=["shard"])`` into
-  ``_staging-<seq>-<token>/``, all fused into the read tasks. The
+  per-operator reservation), a per-batch combiner that folds the
+  batch's triples and attaches the shard (meta rows pass unfolded, in
+  a reserved shard), and ``write_parquet(partition_cols=["shard"])``
+  into ``_staging-<seq>-<token>/``, all fused into the read tasks. The
   driver combines each shard's written files into ONE run of that
   shard (a read sized to the delta), so a merge adds at most one run
-  per shard whatever the number of write tasks, and commits one
-  record. Base runs are never read, decoded or rewritten, so ingest
-  cost scales with the delta, not the KG;
+  per shard whatever the number of write tasks, reads the reserved
+  shard's meta rows into the record, and commits one record. Base runs
+  are never read, decoded or rewritten, so ingest cost scales with the
+  delta, not the KG;
 - compaction folds a shard's runs into one run, one shard at a time
   (peak memory is one shard), and commits them as one record that
   removes the runs it replaces. A merge compacts every shard that
@@ -51,7 +52,9 @@ The store is log-structured, as in an LSM-tree:
   ``MAX_RUNS``-th merge that touches it; :func:`compact_kg_state`
   folds every shard to one run;
 - ``build_kg_state`` is the same merge into an empty store (a
-  ``_meta.parquet`` and no runs).
+  ``_meta.parquet`` and no runs, :func:`init_kg_state`);
+- :func:`kg_state_dataset` reads the folded state as a Dataset, one
+  read task per shard, with no exchange.
 
 Crash safety, against the merging process dying at any point (not the
 host losing power: nothing is fsync'ed). A commit creates its record
@@ -78,15 +81,19 @@ it was linked); it publishes nothing then. Two merges into the same
 new ``out_dir`` are not supported.
 
 Each record carries the merge's numbers: the delta's identity (path,
-bytes, parquet footer row count), the runs added with their rows and
-bytes, the shards touched or compacted, and the wall time per phase.
-Merging an input the log already holds is additive, like any merge
-(recrawled or re-reported relations bump n_mentions).
+bytes, parquet footer row count, and ``files``: one ``{path, bytes,
+rows}`` per input file), the runs added with their rows and bytes, the
+shards touched or compacted, and the wall time per phase. Merging an
+input the log already holds is additive, like any merge (recrawled or
+re-reported relations bump n_mentions). The partitioned runner
+(pipelines/run.py) merges chunks of input files into a store in place
+and skips the files the merge records already name.
 
 Meta rows (pred beginning ``_``: dead letters, marker-drop accounting)
-are pipeline bookkeeping, not knowledge — they are excluded from the
-state (the partitioned runner routes them to ``_dead_letter/``
-instead).
+are pipeline bookkeeping, not knowledge: they never reach the state,
+and the merge's record carries them as ``n_errors``, ``dead_letters``
+(one ``{url, error}`` per ``_error`` row: the page and the exception
+type) and ``n_dropped_markers``.
 
 Non-SQL (triples come from the model-stage extraction pipeline): the
 driver records a rows-only check for ``kg_state_update``; exactness is
@@ -97,6 +104,7 @@ against the single-process oracle over the concatenated crawls.
 from __future__ import annotations
 
 import errno
+import functools
 import json
 import os
 import re
@@ -109,6 +117,10 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+from ray.data.block import BlockMetadata
+from ray.data.datasource import Datasource, ReadTask
+
+from ..sources.page_read import parquet_files
 
 STATE_KEYS = ["subj", "pred", "obj"]
 STATE_SCHEMA = pa.schema(
@@ -145,6 +157,9 @@ MAX_RUNS = 8
 _META = "_meta.parquet"
 _LOG = "_log"
 _STAGING = "_staging-"
+# the shard value a merge's write gives its meta rows: the driver reads
+# them into the commit record and never turns them into a run
+_META_SHARD = -1
 
 
 def _triple_shards(df: "pd.DataFrame", n_shards: int) -> np.ndarray:
@@ -399,6 +414,7 @@ def _move_runs(store: str, staging: str, tag: str) -> dict[str, dict]:
 
     if not os.path.isdir(staging):  # a delta with no triples
         return {}
+    shards = [d for d in _shard_dirs(staging) if _shard_id(d) != _META_SHARD]
 
     def combine(d: str) -> tuple[str, dict]:
         files = sorted(
@@ -422,7 +438,36 @@ def _move_runs(store: str, staging: str, tag: str) -> dict[str, dict]:
         return rel, _run_info(store, rel)
 
     with ThreadPoolExecutor(4) as pool:
-        return dict(pool.map(combine, _shard_dirs(staging)))
+        return dict(pool.map(combine, shards))
+
+
+def _meta_rows(staging: str) -> dict:
+    """The record's account of the delta's meta rows, read from the
+    reserved shard of the staged write: the dead letters (pred
+    ``_error``: the page url and the exception type) and the sum of the
+    marker-drop counts (pred ``_dropped_markers``, the count in obj)."""
+    d = os.path.join(staging, f"shard={_META_SHARD}")
+    rows = (
+        pq.read_table(d, columns=["subj", "pred", "obj"], partitioning=None)
+        .to_pylist()
+        if os.path.isdir(d)
+        else []
+    )
+    dead = sorted(
+        (
+            {"url": r["subj"], "error": r["obj"]}
+            for r in rows
+            if r["pred"] == "_error"
+        ),
+        key=lambda e: (e["url"], e["error"]),
+    )
+    return {
+        "n_errors": len(dead),
+        "n_dropped_markers": sum(
+            int(r["obj"]) for r in rows if r["pred"] == "_dropped_markers"
+        ),
+        "dead_letters": dead,
+    }
 
 
 def _compact(store: str, max_runs: int) -> list[int]:
@@ -464,34 +509,69 @@ def _compact(store: str, max_runs: int) -> list[int]:
     return shards
 
 
-def _delta_identity(path: str) -> dict:
-    path = os.path.abspath(path)
-    files = (
-        [
-            os.path.join(r, f)
-            for r, _, fs in os.walk(path)
-            for f in fs
-            if f.endswith(".parquet")
-        ]
-        if os.path.isdir(path)
-        else [path]
-    )
+def file_identity(path: str) -> dict:
+    """How a merge record names an input file: its absolute path, its
+    size in bytes and its parquet footer row count."""
     return {
-        "path": path,
-        "bytes": sum(os.path.getsize(f) for f in files),
-        "rows": sum(pq.read_metadata(f).num_rows for f in files),
+        "path": os.path.abspath(path),
+        "bytes": os.path.getsize(path),
+        "rows": pq.read_metadata(path).num_rows,
     }
+
+
+def _delta_identity(path: "str | list[str]") -> dict:
+    files = [file_identity(f) for f in parquet_files(path)]
+    return {
+        "path": os.path.abspath(path) if isinstance(path, str) else None,
+        "bytes": sum(f["bytes"] for f in files),
+        "rows": sum(f["rows"] for f in files),
+        "files": files,
+    }
+
+
+class StateShards(Datasource):
+    """The folded state of a store, one read task per shard: the task
+    folds that shard's live runs (:func:`_fold_runs`), so no triple
+    needs an exchange to meet its other rows."""
+
+    def __init__(self, store: str):
+        self._store = store
+        # a store with no runs reads as one empty block
+        self._shards = list(_runs_by_shard(_live_runs(store)).values()) or [[]]
+
+    def estimate_inmemory_data_size(self) -> None:
+        return None
+
+    def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
+        return [
+            ReadTask(
+                functools.partial(_fold_shard, self._store, runs),
+                BlockMetadata(
+                    num_rows=None,
+                    size_bytes=None,
+                    input_files=[os.path.join(self._store, p) for p in runs],
+                    exec_stats=None,
+                ),
+                schema=_FILE_SCHEMA,
+            )
+            for runs in self._shards
+        ]
+
+
+def _fold_shard(store: str, runs: list[str]) -> list[pa.Table]:
+    return [_fold_runs(store, runs).select(STATE_COLS)]
 
 
 # --------------------------------------------------------- public API ----
 
 
 def update_kg_state(
-    state_dir: str, delta_pages_path: str, out_dir: str, config=None
+    state_dir: str, delta_pages_path: "str | list[str]", out_dir: str, config=None
 ) -> str:
-    """Merge a DELTA crawl into a persisted triple store: one Ray Data
-    execution that writes the delta's folded rows as new runs, then one
-    commit record (module docstring). Overlapping triples between base
+    """Merge a DELTA crawl (a pages file, a list of them or a directory)
+    into a persisted triple store: one Ray Data execution that writes
+    the delta's folded rows as new runs, then one commit record (module
+    docstring). Overlapping triples between base
     and delta MERGE (recrawled or re-reported relations bump
     n_mentions, advance score max, extend evidence) — that is the
     operator's purpose, mirroring update_url_state.
@@ -527,18 +607,26 @@ def update_kg_state(
     staging = os.path.join(store, f"{_STAGING}{tag}")
 
     def delta_rows(batch: pa.Table) -> pa.Table:
-        # per-batch combiner: meta rows out, one row per triple, the
-        # persisted shard attached
-        batch = batch.filter(
-            pc.invert(pc.starts_with(batch["pred"], "_"))
-        )
-        part = partial_dedup_batch(batch, STATE_KEYS).select(STATE_COLS)
+        # per-batch combiner: one row per triple with the persisted
+        # shard attached; meta rows pass as they are, in the reserved
+        # shard
+        is_meta = pc.starts_with(batch["pred"], "_")
+        part = partial_dedup_batch(
+            batch.filter(pc.invert(is_meta)), STATE_KEYS
+        ).select(STATE_COLS)
         shard = _triple_shards(
             part.select(STATE_KEYS).to_pandas(), n_shards
         )
-        return part.append_column(
-            "shard", pa.array(shard, pa.int64())
-        ).cast(STATE_SCHEMA)
+        meta = batch.filter(is_meta)
+        n = meta.num_rows
+        return pa.concat_tables([
+            part.append_column("shard", pa.array(shard, pa.int64())).cast(
+                STATE_SCHEMA
+            ),
+            meta.append_column("n_mentions", pa.nulls(n, pa.int64()))
+            .append_column("shard", pa.array([_META_SHARD] * n, pa.int64()))
+            .cast(STATE_SCHEMA),
+        ])
 
     t1 = time.perf_counter()
     config = config or DEFAULT_CONFIG
@@ -551,6 +639,7 @@ def update_kg_state(
     )
     t2 = time.perf_counter()
     runs = _move_runs(store, staging, tag)
+    meta_rows = _meta_rows(staging)
     shutil.rmtree(staging, ignore_errors=True)
     record = {
         "kind": "merge",
@@ -558,6 +647,7 @@ def update_kg_state(
         "adds": runs,
         "removes": [],
         "shards_touched": sorted({_shard_id(p) for p in runs}),
+        **meta_rows,
         "phase_s": {
             "prepare": t1 - t0,
             "execute": t2 - t1,
@@ -575,20 +665,32 @@ def update_kg_state(
     return out_dir
 
 
+def init_kg_state(store: str, n_shards: int = 16) -> str:
+    """Make ``store`` an empty triple store of ``n_shards`` shards
+    unless it already is a store: write its ``_meta.parquet`` in place,
+    by tmp + rename, so a crash leaves a whole meta file or none. Files
+    already in the dir stay (``run.crawl_partitioned`` keeps its winner
+    corpus there)."""
+    meta = os.path.join(store, _META)
+    if not os.path.isfile(meta):
+        os.makedirs(store, exist_ok=True)
+        pq.write_table(
+            pa.table({"n_shards": pa.array([n_shards], pa.int64())}),
+            meta + ".tmp",
+        )
+        os.replace(meta + ".tmp", meta)
+    return store
+
+
 def build_kg_state(
     pages_path: str, out_dir: str, n_shards: int = 16, config=None
 ) -> str:
     """Persist the triple store from a base crawl: the merge of that
-    crawl into an empty store (a ``_meta.parquet`` recording
-    ``n_shards`` and no runs), so a killed build leaves no store at
-    ``out_dir``. ``out_dir`` must not exist."""
+    crawl into an empty store (:func:`init_kg_state`), so a killed
+    build leaves no store at ``out_dir``. ``out_dir`` must not exist."""
     empty = out_dir + ".empty"
     shutil.rmtree(empty, ignore_errors=True)
-    os.makedirs(empty)
-    pq.write_table(
-        pa.table({"n_shards": pa.array([n_shards], pa.int64())}),
-        os.path.join(empty, _META),
-    )
+    init_kg_state(empty, n_shards)
     try:
         return update_kg_state(empty, pages_path, out_dir, config)
     finally:
@@ -602,6 +704,24 @@ def compact_kg_state(state_dir: str) -> str:
     _compact(state_dir, 1)
     _sweep(state_dir)
     return state_dir
+
+
+def merge_records(state_dir: str) -> list[dict]:
+    """The store's committed merge records, in seq order (none for a
+    store without a log)."""
+    if not os.path.isdir(os.path.join(state_dir, _LOG)):
+        return []
+    return [r for r in _records(state_dir) if r["kind"] == "merge"]
+
+
+def kg_state_dataset(state_dir: str) -> "ray.data.Dataset":
+    """The store's triples (STATE_COLS) as a Dataset, one row per
+    triple: one read task per shard folds that shard's live runs, with
+    no exchange. The live runs are those of the log at call time."""
+    import ray.data
+
+    src = StateShards(state_dir)
+    return ray.data.read_datasource(src, override_num_blocks=len(src._shards))
 
 
 def read_kg_state(state_dir: str) -> pd.DataFrame:

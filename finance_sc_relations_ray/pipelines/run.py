@@ -1,49 +1,68 @@
-"""Resumable partitioned execution of the KG pipeline.
+"""Resumable execution of the KG pipeline into a triple store.
 
-Output layout (ray_guide 'Sources & sinks' resumability pattern):
+``out_dir`` is a triple store (pipelines/kg_state.py; 16 shards unless
+``out_dir`` already is a store):
 
     out_dir/
-      part=<k>/ *.parquet     per-partition triples (within-part dedup)
-      _dead_letter/part=<k>/  quarantined poison rows of that part
-      _manifest.jsonl         one line per completed part + metrics
+      _meta.parquet                       n_shards
+      shard=<k>/run-<seq>-<token>.parquet immutable runs of triples
+      _log/<seq>.json                     commit records
+      _winner_pages/                      crawl_partitioned's corpus
 
-A partition is a deterministic GROUP OF INPUT FILES (sorted file list,
-round-robin assignment) — the resume unit the reference's set-difference
-of processed file ids implies (src/glue/glue_etl.py:649-679). That makes
-the resume skip a READ-LAYER prune: a resumed run passes only the
-unfinished parts' paths to the page read, so completed parts' bytes
-are NEVER read (round 1 re-read everything and discarded 15/16 post-read
-— the judge's S7 finding). Per-part page counts come from parquet
-FOOTERS (no data I/O), and each part ends in an idempotent overwrite of
-its part directory via a distributed ``write_parquet`` (no driver-side
-write loop), then a manifest append with its lineage metrics
-(n_pages, n_files, n_triples, n_errors, seconds) — mirroring the
-reference's ``overwrite_partitions`` semantics
-(src/sagemaker/re_inference.py:148-171).
+A part is a round-robin group of the sorted input files and a chunk is
+``parts_per_chunk`` parts. Each chunk is one in-place
+``update_kg_state(out_dir, chunk_files, out_dir)``: one Ray Data
+execution and one commit record, which names the chunk's files
+(``{path, bytes, rows}``) and carries their dead letters and
+marker-drop count.
 
-Dedup scoping: triples are deduplicated WITHIN a partition; the
-per-part merged payloads (max score, summed n_mentions, min ids/url,
-sentence-id union) are mergeable, so ``merge_parts`` yields the
-globally-deduplicated table as a final small pass — global dedup must
-not span resume units or a resumed run could double-count.
+Resume is by file, as the reference resumes by the set difference of
+processed file ids (src/glue/glue_etl.py:649-679). A file is done when a
+merge record names it with the same bytes and parquet footer row count;
+a run merges only the files that are not done, so it never reads a done
+file and it merges a file added to the input since the last run. A
+held path whose bytes or rows changed raises ``ValueError``: merges are
+additive, so merging it again would count its triples twice.
+
+Crash granularity is the chunk: a chunk commits as one record, so a
+crash leaves it wholly merged or not merged at all (the store's crash
+protocol), and the next run merges it again. ``merge_parts(out_dir)``
+reads the final triples.
 """
 
 from __future__ import annotations
 
-import functools
-import shutil
-import time
 import os
+import shutil
 
 import pyarrow as pa
-import ray
-import ray.data
 
 from ..config import DEFAULT_CONFIG, KGConfig
 from ..sources.page_read import parquet_files
-from ..state.manifest import Manifest
-from ..stages.shuffle import salted_dedup
-from ..stages.triples import to_triples_batch
+from . import kg_state
+
+
+def _done_files(out_dir: str, files: list[str]) -> set[str]:
+    """The ``files`` a merge record of the store names with the same
+    bytes and rows; ``ValueError`` for a named file that changed."""
+    held = {
+        f["path"]: (rec["seq"], f)
+        for rec in kg_state.merge_records(out_dir)
+        for f in rec["delta"].get("files", [])
+    }
+    done = set()
+    for path in files:
+        if path not in held:
+            continue
+        seq, was = held[path]
+        now = kg_state.file_identity(path)
+        if now != was:
+            raise ValueError(
+                f"{path} changed since merge record {seq} ({was} now "
+                f"{now}); merging it again would count its triples twice"
+            )
+        done.add(path)
+    return done
 
 
 def run_partitioned(
@@ -54,288 +73,41 @@ def run_partitioned(
     config: KGConfig = DEFAULT_CONFIG,
     max_chunks: int | None = None,
 ) -> dict:
-    """Run (or resume) the pipeline, writing partitioned triples +
-    manifest. Returns summary metrics (including ``files_read``, the
-    proof that resumed runs prune skipped parts at the read layer).
-    ``num_parts`` clamps to the input file count (a part needs ≥1
-    file); ``max_chunks`` exists for tests to simulate an interrupted
+    """Run (or resume) the pipeline over the input files the store at
+    ``out_dir`` does not hold yet, one merge per chunk of parts (module
+    docstring). Returns ``parts_done`` (parts whose files the store
+    holds), ``parts_run``, ``files_read`` and ``n_triples`` (the rows
+    this run's merges added). ``num_parts`` clamps to the input file
+    count; ``max_chunks`` exists for tests to simulate an interrupted
     run."""
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq_
-
-    from ..gazetteer import company_db_table
-    from .kg import linked_docs_dataset, read_pages
-
-    files = parquet_files(pages_path)
+    files = [os.path.abspath(f) for f in parquet_files(pages_path)]
+    done = _done_files(out_dir, files)
+    kg_state.init_kg_state(out_dir)
     num_parts = min(num_parts, len(files))
-    part_files = {p: files[p::num_parts] for p in range(num_parts)}
-
-    manifest = Manifest(out_dir)
-    done = manifest.completed_parts()
-    todo = [p for p in range(num_parts) if p not in done]
+    parts = [files[p::num_parts] for p in range(num_parts)]
+    todo = [p for p in range(num_parts) if not done.issuperset(parts[p])]
     chunks = [
         todo[i : i + parts_per_chunk] for i in range(0, len(todo), parts_per_chunk)
-    ]
-    if max_chunks is not None:
-        chunks = chunks[:max_chunks]
+    ][:max_chunks]
 
-    total = {
-        "parts_done": len(done),
-        "parts_run": 0,
-        "n_triples": 0,
-        "files_read": 0,
-    }
-    db_ref = ray.put(company_db_table())
-
+    n_records = len(kg_state.merge_records(out_dir))
     for chunk in chunks:
-        # ONE dataset execution per CHUNK of parts, not one per part:
-        # Ray Data's fixed cost per execution is amortized over
-        # parts_per_chunk parts — the per-part variant paid an actor
-        # pool startup + 4 small executions per part (~8 s of fixed
-        # cost each at bench scale). Part identity
-        # rides the stream as a ``__part`` column derived from the
-        # source FILE (read-layer pruning of finished parts is
-        # unchanged: only this chunk's files are passed to the read),
-        # so writes and manifest marks stay per-part. Crash granularity
-        # becomes the chunk: no part of a chunk is marked done until
-        # its rows are on disk, and a rerun rmtree-overwrites the whole
-        # chunk — idempotent either way.
-        t0 = time.perf_counter()
-        chunk_paths = [f for p in chunk for f in part_files[p]]
-        file_part = {f: p for p in chunk for f in part_files[p]}
-        pages_per_part = {
-            p: sum(pq_.read_metadata(f).num_rows for f in part_files[p])
-            for p in chunk
-        }
-
-        pages = read_pages(chunk_paths, include_paths=True)
-
-        def tag_part(batch: pa.Table, _fp=file_part) -> pa.Table:
-            parts = [_fp[p] for p in batch["path"].to_pylist()]
-            return batch.drop_columns(["path"]).append_column(
-                "__part", pa.array(parts, pa.int32())
-            )
-
-        linked = linked_docs_dataset(
-            pages.map_batches(tag_part, batch_format="pyarrow"),
-            config,
-            db_ref=db_ref,
-        )
-        triples = linked.map_batches(
-            functools.partial(to_triples_batch, config=config),
-            batch_format="pyarrow",
-        )
-        # dedup scoped WITHIN a part (part is the resume unit; global
-        # dedup happens in merge_parts): __part joins the key
-        deduped = salted_dedup(
-            triples, ["__part", "subj", "pred", "obj"]
-        ).materialize()
-        # collapse the ~num_buckets near-empty post-dedup blocks ONCE,
-        # up front, when the chunk is gate-scale: every downstream
-        # consumer (lineage counts, dead-letter filter, the ok write)
-        # otherwise pays a task launch per near-empty block (measured
-        # at the 20k-page bench: counts 1.08 s → 0.28 s, filter+write
-        # 0.76 s → 0.27 s, the collapse itself 0.34 s — r3 verdict #4).
-        # At scale the blocks hold real data and the collapse is
-        # skipped, keeping the stock streaming shape.
-        size_mb = deduped.size_bytes() / (1 << 20)
-        if size_mb < 256:
-            deduped = deduped.repartition(
-                max(len(chunk), int(size_mb // 16) + 1)
-            ).materialize()
-
-        # per-part lineage counts in ONE distributed pass: each batch
-        # emits a tiny partial-count table; the driver sums
-        # parts × batches rows, never row-level data
-        def part_counts(batch: pa.Table) -> pa.Table:
-            import pandas as pd
-
-            df = pd.DataFrame(
-                {
-                    "part": batch["__part"].to_pandas(),
-                    "is_err": pc.equal(batch["pred"], "_error").to_pandas(),
-                    "is_meta": pc.equal(
-                        batch["pred"], "_dropped_markers"
-                    ).to_pandas(),
-                }
-            )
-            df["dropped"] = 0
-            if df["is_meta"].any():
-                obj = batch["obj"].to_pandas()
-                df.loc[df["is_meta"], "dropped"] = (
-                    obj[df["is_meta"]].astype(int)
-                )
-            g = df.groupby("part", as_index=False).agg(
-                n_all=("part", "size"),
-                n_err=("is_err", "sum"),
-                n_meta=("is_meta", "sum"),
-                n_dropped=("dropped", "sum"),
-            )
-            return pa.Table.from_pandas(g, preserve_index=False)
-
-        counts = (
-            deduped.map_batches(part_counts, batch_format="pyarrow")
-            .to_pandas()
-            .groupby("part")
-            .sum()
-        )
-
-        # dead-letter rows: quarantined exceptions — small by
-        # construction (they exist only when pages throw)
-        errs = deduped.map_batches(
-            lambda b: b.filter(pc.equal(b["pred"], "_error")),
-            batch_format="pyarrow",
-        )
-        for p in chunk:
-            shutil.rmtree(
-                os.path.join(out_dir, "_dead_letter", f"part={p}"),
-                ignore_errors=True,
-            )
-        if int(counts["n_err"].sum()) if len(counts) else 0:
-            errs.map_batches(
-                lambda b: b.rename_columns(
-                    ["part" if c == "__part" else c for c in b.column_names]
-                ),
-                batch_format="pyarrow",
-            ).write_parquet(
-                os.path.join(out_dir, "_dead_letter"), partition_cols=["part"]
-            )
-
-        _special = pa.array(["_error", "_dropped_markers"])
-        ok = deduped.map_batches(
-            lambda b: b.filter(
-                pc.invert(pc.is_in(b["pred"], value_set=_special))
-            ).rename_columns(
-                ["part" if c == "__part" else c for c in b.column_names]
-            ),
-            batch_format="pyarrow",
-        )
-        for p in chunk:
-            shutil.rmtree(os.path.join(out_dir, f"part={p}"), ignore_errors=True)
-        # hive-partitioned distributed write: part=<k>/ dirs, exactly
-        # the per-part layout readers and compact_parts expect. The
-        # write emits one file per (block × part); the up-front
-        # gate-scale collapse above already bounded the block count,
-        # so a small chunk writes ~len(chunk)² files instead of
-        # hundreds of near-empty ones (r3 verdict #4).
-        ok.write_parquet(out_dir, partition_cols=["part"])
-
-        chunk_sec = time.perf_counter() - t0
-        for p in chunk:
-            row = counts.loc[p] if p in counts.index else None
-            n_all = int(row["n_all"]) if row is not None else 0
-            n_err = int(row["n_err"]) if row is not None else 0
-            n_meta = int(row["n_meta"]) if row is not None else 0
-            n_ok = n_all - n_err - n_meta
-            manifest.mark_done(
-                p,
-                {
-                    "n_pages": pages_per_part[p],
-                    "n_files": len(part_files[p]),
-                    "n_triples": n_ok,
-                    "n_errors": n_err,
-                    "n_dropped_markers": (
-                        int(row["n_dropped"]) if row is not None else 0
-                    ),
-                    # wall time is paid per chunk; recorded amortized
-                    "seconds": round(chunk_sec / len(chunk), 3),
-                },
-            )
-            total["parts_run"] += 1
-            total["files_read"] += len(part_files[p])
-            total["n_triples"] += n_ok
-    total["parts_done"] = len(manifest.completed_parts())
-    return total
+        chunk_files = [f for p in chunk for f in parts[p] if f not in done]
+        kg_state.update_kg_state(out_dir, chunk_files, out_dir, config)
+    parts_run = sum(len(chunk) for chunk in chunks)
+    added = kg_state.merge_records(out_dir)[n_records:]
+    return {
+        "parts_done": num_parts - len(todo) + parts_run,
+        "parts_run": parts_run,
+        "n_triples": sum(r["rows"] for rec in added for r in rec["adds"].values()),
+        "files_read": sum(len(rec["delta"]["files"]) for rec in added),
+    }
 
 
-def compact_parts(out_dir: str, target_rows_per_file: int = 500_000) -> dict:
-    """Merge each partition's chunk files into few large files (the
-    small-file problem: every resumed chunk run appends a file per
-    part; readers want ≥100MB files). Crash-safe per part: the merged
-    table is written to a non-``.parquet`` temp name (invisible to
-    readers), fsynced, the old chunks are removed, and only then is the
-    temp renamed to its final ``.parquet`` name — a crash at any point
-    leaves readers seeing each row exactly once (either all old chunks,
-    or the renamed compacted file). Existing ``compacted-*`` files are
-    part of the input set, so reruns converge instead of duplicating.
-    Dead-letter and manifest files are untouched."""
-    import pyarrow.parquet as pq_
-
-    stats = {"parts": 0, "files_before": 0, "files_after": 0}
-    for name in sorted(os.listdir(out_dir)):
-        pdir = os.path.join(out_dir, name)
-        if not name.startswith("part=") or not os.path.isdir(pdir):
-            continue
-        # recover from a previous crash mid-compaction: temp files were
-        # never visible to readers and their source chunks still exist
-        for f in os.listdir(pdir):
-            if f.endswith(".compacting.tmp"):
-                os.remove(os.path.join(pdir, f))
-        files = sorted(
-            os.path.join(pdir, f) for f in os.listdir(pdir)
-            if f.endswith(".parquet")
-        )
-        if len(files) <= 1:
-            continue
-        table = pa.concat_tables([pq_.read_table(f) for f in files])
-        stamp = time.monotonic_ns()
-        tmp = os.path.join(pdir, f"compacted-{stamp}.compacting.tmp")
-        final = os.path.join(pdir, f"compacted-{stamp}.parquet")
-        pq_.write_table(table, tmp, row_group_size=target_rows_per_file)
-        with open(tmp, "rb") as fh:
-            os.fsync(fh.fileno())
-        for f in files:
-            os.remove(f)
-        os.rename(tmp, final)
-        stats["parts"] += 1
-        stats["files_before"] += len(files)
-        stats["files_after"] += 1
-    return stats
-
-
-def merge_parts(
-    out_dir: str, local_rows_gate: int = 500_000
-) -> "ray.data.Dataset":
-    """Final global dedup over the partitioned output (small pass:
-    per-part aggregates are mergeable). Size-aware read (r3 verdict
-    #4): the hive layout is many small per-(block, part) files, and a
-    stock read turned them into dozens of near-empty blocks — the
-    64-bucket dedup exchange then paid a task launch per near-empty
-    sort partition (3.8 s of the partitioned path's 1.5× gap at bench
-    scale; 1.1 s sized).
-
-    Gate-scale collapse (the minhash count-gated pushdown pattern,
-    text.py — except the count here is FREE: parquet footer metadata
-    row counts, no scan at all): when the read-back holds ≤
-    ``local_rows_gate`` rows
-    (tens of MB; per-part outputs are already part-deduped), the
-    exchange's ~2.4 s of task-launch floor at bench scale buys
-    nothing — merge locally with the SAME kernel the distributed
-    path's bucket merge runs (``_merge_bucket``: whole-table combine
-    and key sort; associative, so one local pass equals the bucketed
-    plan row-for-row). Above the gate — any real
-    run — the salted exchange is unchanged. ``local_rows_gate=0``
-    disables the collapse."""
-    from ..sources.io import sized_read_parquet
-    from ..stages.shuffle import _merge_bucket
-
-    import pyarrow.parquet as pq
-
-    keys = ["subj", "pred", "obj"]
-    n_rows = 0
-    for root, _dirs, files in os.walk(out_dir):
-        for f in files:
-            if f.endswith(".parquet"):
-                n_rows += pq.read_metadata(os.path.join(root, f)).num_rows
-
-    ds = sized_read_parquet(out_dir)
-    if local_rows_gate and n_rows <= local_rows_gate:
-        tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
-        if not tables:
-            return ds
-        tbl = pa.concat_tables(tables, promote_options="default")
-        return ray.data.from_arrow(_merge_bucket(tbl, keys))
-    return salted_dedup(ds, keys)
+def merge_parts(out_dir: str) -> "ray.data.Dataset":
+    """The store's triples, one row per triple: one Ray task per shard
+    folds that shard's live runs (``kg_state.kg_state_dataset``)."""
+    return kg_state.kg_state_dataset(out_dir)
 
 
 def crawl_partitioned(
@@ -359,10 +131,10 @@ def crawl_partitioned(
       Dedup must PRECEDE partitioning: snapshots of one page can sit
       in different input files, so a per-part fold would leak
       duplicate pages across resume units.
-    - **Stage 1+ (per part, resumable)**: ``run_partitioned`` over the
-      winner files — extraction/NER/RE pay per winner page exactly
-      once, parts resume at the manifest, finished parts' bytes are
-      never re-read.
+    - **Stage 1+ (per chunk, resumable)**: ``run_partitioned`` over the
+      winner files into the store at ``out_dir`` — extraction/NER/RE
+      pay per winner page exactly once, a rerun merges only the winner
+      files the store's log does not hold.
 
     Final triples (``merge_parts(out_dir)``) equal the one-shot
     ``kg_from_crawl`` row-for-row (tests/test_resume_crawl.py, incl.
@@ -374,13 +146,8 @@ def crawl_partitioned(
         from .web import url_keep_latest_pages_ds
 
         page_schema = pa.schema(
-            [
-                ("url", pa.string()),
-                ("html", pa.binary()),
-                ("lang", pa.string()),
-            ]
+            [("url", pa.string()), ("html", pa.binary()), ("lang", pa.string())]
         )
-
         n_shards = max(num_parts, 16)
 
         def to_pages(batch: pa.Table) -> pa.Table:

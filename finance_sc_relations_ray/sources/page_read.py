@@ -71,7 +71,6 @@ def _read_pieces(
     files: list[str],
     columns: list[str],
     pieces: list[tuple[int, int, int, int, int]],
-    include_paths: bool,
     schema: pa.Schema,
 ):
     """Yield one block per (file, row group, first row, end row, group
@@ -83,31 +82,19 @@ def _read_pieces(
         with pq.ParquetFile(files[fi]) as pf:
             for _, g, lo, hi, rows in in_file:
                 if hi - lo == rows:
-                    t = pf.read_row_group(g, columns=columns)
+                    yield pf.read_row_group(g, columns=columns)
                 else:
-                    t = _group_rows(pf, g, lo, hi, columns)
-                if include_paths:
-                    t = t.append_column(
-                        "path", pa.array([files[fi]] * t.num_rows, pa.string())
-                    )
-                yield t
+                    yield _group_rows(pf, g, lo, hi, columns)
 
 
 class PageRowsDatasource(Datasource):
-    """The rows of parquet ``files`` (``columns`` only, plus the source
-    file as ``path`` with ``include_paths``), read as contiguous row
-    ranges (module docstring). Every file must give ``columns`` the
-    same types."""
+    """The rows of parquet ``files`` (``columns`` only), read as
+    contiguous row ranges (module docstring). Every file must give
+    ``columns`` the same types."""
 
-    def __init__(
-        self,
-        files: list[str],
-        columns: list[str],
-        include_paths: bool = False,
-    ):
+    def __init__(self, files: list[str], columns: list[str]):
         self._files = files
         self._columns = columns
-        self._include_paths = include_paths
         # (file index, row group, first row of the input, rows, bytes)
         self._groups: list[tuple[int, int, int, int, int]] = []
         self.num_rows = 0
@@ -141,8 +128,6 @@ class PageRowsDatasource(Datasource):
                 self.num_rows += rg.num_rows
         if schema is None:
             raise FileNotFoundError(f"no parquet files in {files!r}")
-        if include_paths:
-            schema = schema.append(pa.field("path", pa.string()))
         self._schema = schema
 
     @property
@@ -200,7 +185,6 @@ class PageRowsDatasource(Datasource):
                         used,
                         self._columns,
                         pieces,
-                        self._include_paths,
                         self._schema,
                     ),
                     meta,

@@ -218,26 +218,15 @@ class PageKGActor:
             if "lang" in batch.column_names
             else ["en"] * batch.num_rows
         )
-        # optional partition lineage: when the partitioned runner tags
-        # pages with a ``__part`` file-group id, every emitted doc row
-        # inherits its page's part so one chunk-wide execution can
-        # still write/mark parts independently (pipelines/run.py)
-        parts = (
-            batch["__part"].to_pylist()
-            if "__part" in batch.column_names
-            else None
-        )
         scorer = _cached(
             _SCORER,
             (self.config, self.reverse),
             lambda: SentencePairScorer(self.config, self.reverse),
         )
-        out_parts: list[int] = []
         dead: list[dict] = []
-        for row_i, (url, html, lang) in enumerate(zip(
+        for url, html, lang in zip(
             batch["url"].to_pylist(), batch["html"].to_pylist(), langs
-        )):
-            n_before = len(agg_out["url"])
+        ):
             if lang != "en":
                 continue
             # poison-row quarantine (SURVEY.md §4): one malformed page
@@ -261,8 +250,8 @@ class PageKGActor:
                     # M10 drop accounting rides the stream as a meta
                     # row (like the _error dead-letter channel):
                     # to_triples turns it into a pred="_dropped_markers"
-                    # row the partitioned runner records per part and
-                    # excludes from output
+                    # row, which a triple-store merge counts into its
+                    # commit record and keeps out of the state
                     agg_out["url"].append(url)
                     agg_out["reporter"].append("")
                     agg_out["company"].append("")
@@ -280,26 +269,17 @@ class PageKGActor:
                         "score": 0.0,
                         "sentence_ids": [],
                         "n_pairs": 0,
-                        "__part": parts[row_i] if parts is not None else None,
                     }
-                )
-            if parts is not None:
-                out_parts.extend(
-                    [parts[row_i]] * (len(agg_out["url"]) - n_before)
                 )
         for d in dead:
             for k in DOC_RELATIONS_SCHEMA.names:
                 agg_out[k].append(d[k])
-            if parts is not None:
-                out_parts.append(d["__part"])
         out = pa.table(
             {name: pa.array(agg_out[name],
                             type=DOC_RELATIONS_SCHEMA.field(name).type)
              for name in DOC_RELATIONS_SCHEMA.names}
         )
         check_schema(out, DOC_RELATIONS_SCHEMA, "page_kg")
-        if parts is not None:
-            out = out.append_column("__part", pa.array(out_parts, pa.int32()))
         if self.db_ref is not None:
             out = _linker(self.db_ref, self.config).link_batch(out)
         return out

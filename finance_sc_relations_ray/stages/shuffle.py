@@ -28,7 +28,7 @@ reference src/relation_extraction/reporter.py:39-73 — ``sentenceIds``,
   unbounded list; ``n_mentions`` keeps the true count)
 
 Payload columns are merged only if present, so the same helper serves
-the partitioned runner (extra ``part`` key) and bare (subj,pred,obj)
+the triple store's fold (extra ``shard`` key) and bare (subj,pred,obj)
 dedup.
 """
 
@@ -207,15 +207,14 @@ def _merge_bucket(t: pa.Table, keys: list[str]) -> pa.Table:
     """Within-bucket merge: the per-batch combiner over the whole bucket
     (:func:`partial_dedup_batch`, the shared vectorized kernel) plus a
     deterministic key sort. Every merge of the package runs through it:
-    the exchange's bucket merge, ``run.merge_parts``' local merge and
-    the triple store's run fold. A pandas frame (perfbench's replay
-    passes one) is converted first. History: the per-KEY map_groups
-    variant paid Arrow-table-construction overhead once per key (29 s
-    UDF for 74.5k keys at the 20k-page bench); its bucketed replacement
-    still ran per-group pandas LAMBDAS on multi-row keys (~20 s
-    single-threaded on the partitioned runner's read-back, where every
-    key repeats across parts — r3 verdict #4); the kernel is all cython
-    groupbys (~0.5 s same input)."""
+    the exchange's bucket merge and the triple store's run fold. A
+    pandas frame (perfbench's replay passes one) is converted first.
+    History: the per-KEY map_groups variant paid
+    Arrow-table-construction overhead once per key (29 s UDF for 74.5k
+    keys at the 20k-page bench); its bucketed replacement still ran
+    per-group pandas LAMBDAS on multi-row keys (~20 s single-threaded
+    on a read-back where every key repeated across parts); the kernel
+    is all cython groupbys (~0.5 s same input)."""
     if not isinstance(t, pa.Table):
         t = pa.Table.from_pandas(t, preserve_index=False)
     return partial_dedup_batch(t, keys).sort_by([(k, "ascending") for k in keys])

@@ -36,20 +36,14 @@ def to_triples_batch(
     out = {name: [] for name in TRIPLES_SCHEMA.names}
     pred = config.canonical_pred
     has_link = "entity_id" in batch.column_names
-    # partition lineage passthrough (see stages/fused.py __part note)
-    has_part = "__part" in batch.column_names
-    if has_part:
-        out["__part"] = []
     rows = batch.to_pylist()
     for row in rows:
         label = row["relation"]
         if label == "_error":
             # dead-letter passthrough (poison-row quarantine): ride the
             # triples stream as a (url, "_error", exc_type) row so one
-            # pipeline pass carries both outputs; the partitioned sink
-            # routes these into _dead_letter/ (pipelines/run.py)
-            if has_part:
-                out["__part"].append(row["__part"])
+            # pipeline pass carries both outputs; a triple-store merge
+            # lists them in its commit record (pipelines/kg_state.py)
             out["subj"].append(row["url"])
             out["pred"].append("_error")
             out["obj"].append(row["company"])
@@ -61,10 +55,8 @@ def to_triples_batch(
             continue
         if label == "_meta_dropped":
             # M10 marker-drop accounting (n_pairs = drop count rides in
-            # obj): counted per partition into the manifest lineage by
-            # pipelines/run.py, excluded from the triple output there
-            if has_part:
-                out["__part"].append(row["__part"])
+            # obj): a triple-store merge sums it into its commit record
+            # and keeps it out of the state
             out["subj"].append(row["url"])
             out["pred"].append("_dropped_markers")
             out["obj"].append(str(row["n_pairs"]))
@@ -83,8 +75,6 @@ def to_triples_batch(
             subj, obj, sid, oid = company, reporter, cid, rid
         else:  # customer: reporter supplies the company
             subj, obj, sid, oid = reporter, company, rid, cid
-        if has_part:
-            out["__part"].append(row["__part"])
         out["subj"].append(subj)
         out["pred"].append(pred)
         out["obj"].append(obj)
@@ -93,10 +83,9 @@ def to_triples_batch(
         out["score"].append(row["score"])
         out["url"].append(row["url"])
         out["sentence_ids"].append(row["sentence_ids"])
-    arrays = {
-        n: pa.array(out[n], type=TRIPLES_SCHEMA.field(n).type)
-        for n in TRIPLES_SCHEMA.names
-    }
-    if has_part:
-        arrays["__part"] = pa.array(out["__part"], type=pa.int32())
-    return pa.table(arrays)
+    return pa.table(
+        {
+            n: pa.array(out[n], type=TRIPLES_SCHEMA.field(n).type)
+            for n in TRIPLES_SCHEMA.names
+        }
+    )

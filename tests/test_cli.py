@@ -1,7 +1,7 @@
 """Smoke test for the ``ray job submit`` unit (cli.py): runs the CLI in
 a subprocess (it owns its Ray session — in-process it would tear down
-the pytest session's Ray), checks the partitioned output + manifest
-summary, and that a rerun resumes (skips completed partitions)."""
+the pytest session's Ray), checks the triple store it writes and its
+summary, and that a rerun resumes (skips the files the store holds)."""
 
 import json
 import os
@@ -50,25 +50,24 @@ def test_cli_end_to_end_and_resume(tmp_path):
     _write_pages(pages)
 
     summary = _run_cli(pages, out)
-    assert summary["parts_run"] >= 1
-    first_rows = summary["n_triples"]
-    assert first_rows > 0
+    assert set(summary) == {"parts_done", "parts_run", "n_triples", "files_read"}
+    assert summary["parts_run"] >= 1 and summary["files_read"] == 3
+    assert summary["n_triples"] > 0
 
-    # output is readable partitioned parquet with the full payload
-    import pyarrow.dataset as pads
+    # output is a triple store with the full payload; the rows the
+    # merges added fold to at most as many triples
+    from finance_sc_relations_ray.pipelines.kg_state import read_kg_state
 
-    frags = [
-        f for f in os.listdir(out)
-        if not f.startswith(("_", "."))
-    ]
+    frags = [f for f in os.listdir(out) if f.startswith("shard=")]
     assert frags, os.listdir(out)
-    tbl = pads.dataset(out, format="parquet").to_table()
+    tbl = read_kg_state(out)
     for col in ("subj", "pred", "obj", "score", "n_mentions"):
-        assert col in tbl.column_names
-    assert tbl.num_rows == first_rows
+        assert col in tbl.columns
+    assert 0 < len(tbl) <= summary["n_triples"]
 
     # rerun with the same --out: resume skips everything, rows unchanged
     summary2 = _run_cli(pages, out)
     assert summary2["parts_run"] == 0
+    assert summary2["files_read"] == 0 and summary2["n_triples"] == 0
     assert summary2["parts_done"] == summary["parts_done"]
-    assert pads.dataset(out, format="parquet").to_table().num_rows == first_rows
+    assert read_kg_state(out).equals(tbl)

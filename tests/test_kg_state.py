@@ -188,6 +188,10 @@ def test_empty_delta_keeps_state_byte_identical(crawls, base_state, kind):
     pq.write_table(_no_triple_delta(kind), empty)
     upd = str(crawls["dir"] / f"state_empty_delta_{kind}")
     K.update_kg_state(base_state, empty, upd)
+    # the dead letters are in the merge's record, not in the state
+    rec = K.merge_records(upd)[-1]
+    n_dead = pq.read_metadata(empty).num_rows if kind == "all_dead_letter" else 0
+    assert rec["n_errors"] == len(rec["dead_letters"]) == n_dead
 
     pd.testing.assert_frame_equal(
         K.read_kg_state(upd), K.read_kg_state(base_state)
@@ -284,11 +288,14 @@ def test_commit_record_carries_the_merge_numbers(
     pd.testing.assert_frame_equal(K.read_kg_state(upd), K.read_kg_state(reb))
     assert rec["kind"] == "merge"
     delta = crawls["delta"]
-    assert rec["delta"] == {
+    ident = {
         "path": os.path.abspath(delta),
         "bytes": os.path.getsize(delta),
         "rows": pq.read_metadata(delta).num_rows,
     }
+    assert rec["delta"] == {**ident, "files": [ident]}
+    assert rec["n_errors"] == 0 and rec["dead_letters"] == []
+    assert rec["n_dropped_markers"] >= 0
     assert rec["adds"] and rec["removes"] == []
     for rel, info in rec["adds"].items():
         path = os.path.join(upd, rel)

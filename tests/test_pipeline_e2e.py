@@ -258,8 +258,8 @@ def test_page_stage_plans_run_without_reservation(pages_path, tmp_path, monkeypa
     into it (no read operator of its own) and executes with the
     per-operator reservation off: the build, the composed crawl, the
     triple-store build and merge, and the partitioned runner. The global
-    ``DataContext`` keeps its values after each, and ``merge_parts``,
-    which has no page stage, runs with the default."""
+    ``DataContext`` keeps its values after each, and ``merge_parts``'
+    store read, which has no page stage, runs with the default."""
     import inspect
 
     from ray.data import DataContext
@@ -318,7 +318,7 @@ def test_page_stage_plans_run_without_reservation(pages_path, tmp_path, monkeypa
     out = str(tmp_path / "parts")
     run_partitioned(pages_path, out, num_parts=1)
     assert page_plans() >= 1
-    merge_parts(out, local_rows_gate=0).to_pandas()
+    merge_parts(out).to_pandas()
     assert [on for _, on in seen] and all(on for _, on in seen), seen
 
 

@@ -1,15 +1,13 @@
 """Poison-row quarantine: a malformed page becomes a dead-letter row,
 the rest of the job completes."""
 
-import os
-
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from finance_sc_relations_ray.pipelines.kg import build_kg_pipeline
-from finance_sc_relations_ray.pipelines.run import run_partitioned
+from finance_sc_relations_ray.pipelines.kg_state import merge_records
+from finance_sc_relations_ray.pipelines.run import merge_parts, run_partitioned
 from finance_sc_relations_ray.sources.pages import generate_pages
-from finance_sc_relations_ray.state.manifest import Manifest
 
 
 def _poisoned_pages(tmp_path):
@@ -44,12 +42,14 @@ def test_partitioned_run_dead_letter(tmp_path):
     path = _poisoned_pages(tmp_path)
     out = str(tmp_path / "out")
     run_partitioned(path, out, num_parts=4, parts_per_chunk=4)
-    m = Manifest(out)
-    assert sum(r.get("n_errors", 0) for r in m.metrics()) == 1
-    dl = os.path.join(out, "_dead_letter")
-    assert os.path.isdir(dl) and os.listdir(dl)
-    # dead letters excluded from the triples partitions
-    import ray.data
-
-    merged = ray.data.read_parquet(out).to_pandas()
+    recs = merge_records(out)
+    assert sum(r["n_errors"] for r in recs) == 1
+    # the merge record names the dead letter
+    dead = [d for r in recs for d in r["dead_letters"]]
+    assert len(dead) == 1
+    assert dead[0]["url"] == "https://poison.example/1"
+    assert "DecodeError" in dead[0]["error"]
+    # dead letters excluded from the triples
+    merged = merge_parts(out).to_pandas()
     assert (merged["pred"] == "_error").sum() == 0
+    assert (merged["pred"] == "supplies_to").sum() > 0

@@ -1,35 +1,70 @@
-"""Checkpoint-resume: partitioned output + manifest, interrupted run
-resumed to completion, idempotent re-runs."""
+"""Checkpoint-resume of the partitioned runner: every chunk is one merge
+into a triple store, a rerun skips the input files the store's log
+holds, and the merged triples equal a fresh run however the work was
+split, interrupted or extended."""
 
 import os
+import shutil
 
+import pandas as pd
 import pyarrow.parquet as pq
 import pytest
 
+from finance_sc_relations_ray.pipelines import kg_state as K
+from finance_sc_relations_ray.pipelines.kg import build_kg_pipeline
 from finance_sc_relations_ray.pipelines.run import merge_parts, run_partitioned
 from finance_sc_relations_ray.sources.pages import generate_pages
-from finance_sc_relations_ray.state.manifest import Manifest
+
+
+class Crash(Exception):
+    pass
 
 
 @pytest.fixture(scope="module")
-def pages_path(tmp_path_factory):
-    """Directory of 8 parquet files × 10 pages — partitions are input
-    FILE groups, so the fixture must be multi-file."""
+def page_files(tmp_path_factory):
+    """Nine parquet files × 10 pages: parts are input FILE groups, so
+    the fixture must be multi-file. Tests copy the first eight (or all
+    nine) into their own input dir."""
     d = tmp_path_factory.mktemp("pages_resume")
-    pages = generate_pages(list(range(80)))
-    for i in range(8):
-        pq.write_table(pages.slice(i * 10, 10), str(d / f"pages-{i}.parquet"))
+    pages = generate_pages(list(range(90)))
+    paths = []
+    for i in range(9):
+        paths.append(str(d / f"pages-{i}.parquet"))
+        pq.write_table(pages.slice(i * 10, 10), paths[-1])
+    return paths
+
+
+def _inputs(d, page_files, n=8):
+    os.makedirs(d)
+    for f in page_files[:n]:
+        shutil.copy(f, os.path.join(d, os.path.basename(f)))
     return str(d)
 
 
-def test_interrupt_and_resume(pages_path, tmp_path):
+def _merged(out):
+    df = merge_parts(out).to_pandas()
+    df["sentence_ids"] = [list(x) for x in df["sentence_ids"]]
+    return df.sort_values(["subj", "pred", "obj"]).reset_index(drop=True)
+
+
+def _fresh(tmp_path, page_files, n):
+    out = str(tmp_path / f"fresh-out{n}")
+    run_partitioned(_inputs(tmp_path / f"fresh{n}", page_files, n), out)
+    return _merged(out)
+
+
+def _named_files(out):
+    return [f["path"] for r in K.merge_records(out) for f in r["delta"]["files"]]
+
+
+def test_interrupt_and_resume(page_files, tmp_path):
+    pages_path = _inputs(tmp_path / "pages", page_files)
     out = str(tmp_path / "out")
     # simulate an interrupted run: only the first chunk completes
     r1 = run_partitioned(pages_path, out, num_parts=8, parts_per_chunk=4,
                          max_chunks=1)
     assert r1["parts_done"] == 4
-    m = Manifest(out)
-    assert len(m.completed_parts()) == 4
+    assert len(K.merge_records(out)) == 1
     # resume finishes the remaining parts and skips completed ones —
     # pruned at the READ: the resumed run touches only the 4 unfinished
     # parts' files (1 file per part here)
@@ -38,60 +73,108 @@ def test_interrupt_and_resume(pages_path, tmp_path):
     assert r2["parts_run"] == 4  # only the missing parts ran
     assert r2["files_read"] == 4  # skipped parts' files never read
 
-    # per-partition lineage metrics present
-    for rec in m.metrics():
-        assert {"part", "n_pages", "n_triples", "seconds"} <= set(rec)
-    assert sum(rec["n_pages"] for rec in m.metrics()) == 80
+    # per-chunk lineage in the commit records: the files with their
+    # pages, the runs added with their rows, the phase times
+    recs = K.merge_records(out)
+    assert len(recs) == 2
+    for rec in recs:
+        assert {"delta", "adds", "phase_s", "n_errors"} <= set(rec)
+    assert sum(f["rows"] for r in recs for f in r["delta"]["files"]) == 80
+    assert r1["n_triples"] + r2["n_triples"] == sum(
+        run["rows"] for r in recs for run in r["adds"].values()
+    )
 
-    # output readable, partition dirs exist
-    parts = [p for p in os.listdir(out) if p.startswith("part=")]
-    assert len(parts) > 0
+    # output readable, shard dirs exist
+    assert [p for p in os.listdir(out) if p.startswith("shard=")]
 
     # a fresh complete run into a new dir yields the same global triples
-    out2 = str(tmp_path / "out2")
-    run_partitioned(pages_path, out2, num_parts=8, parts_per_chunk=8)
-    a = merge_parts(out).to_pandas().sort_values(
-        ["subj", "pred", "obj"]).reset_index(drop=True)
-    b = merge_parts(out2).to_pandas().sort_values(
-        ["subj", "pred", "obj"]).reset_index(drop=True)
-    assert a.equals(b)
+    got = _merged(out)
+    pd.testing.assert_frame_equal(got, _fresh(tmp_path, page_files, 8))
+    # and so does the one-shot pipeline, without its meta rows
+    exp = build_kg_pipeline(pages_path).to_pandas()
+    exp = exp[~exp["pred"].str.startswith("_")].reset_index(drop=True)
+    exp["sentence_ids"] = [list(x) for x in exp["sentence_ids"]]
+    pd.testing.assert_frame_equal(
+        got[list(exp.columns)],
+        exp.sort_values(["subj", "pred", "obj"]).reset_index(drop=True),
+    )
 
 
-def test_compact_parts(pages_path, tmp_path):
-    from finance_sc_relations_ray.pipelines.run import compact_parts, merge_parts
-
-    out = str(tmp_path / "compact_out")
-    # two chunked runs produce multiple files per part
-    run_partitioned(pages_path, out, num_parts=4, parts_per_chunk=2)
-    before = merge_parts(out).to_pandas().sort_values(
-        ["subj", "pred", "obj"]).reset_index(drop=True)
-    stats = compact_parts(out)
-    after = merge_parts(out).to_pandas().sort_values(
-        ["subj", "pred", "obj"]).reset_index(drop=True)
-    assert before.equals(after)  # compaction is content-preserving
-    assert stats["files_after"] <= stats["files_before"]
-
-
-def test_merge_parts_local_collapse_equals_distributed(pages_path, tmp_path):
-    """The gate-scale local collapse (count-gated, minhash-pushdown
-    pattern) must be row-for-row identical to the salted exchange it
-    replaces — same merge kernels, associativity makes one local pass
-    equal the bucketed plan."""
+def test_resume_at_another_part_count_equals_a_fresh_run(page_files, tmp_path):
+    """Parts are renumbered when ``num_parts`` changes, so resuming by
+    part id skipped parts whose files were never merged."""
+    pages_path = _inputs(tmp_path / "pages", page_files)
     out = str(tmp_path / "out")
-    run_partitioned(pages_path, out, num_parts=8, parts_per_chunk=8)
-    local = merge_parts(out).to_pandas()  # default gate: local path
-    dist = merge_parts(out, local_rows_gate=0).to_pandas()  # exchange
-    key = ["subj", "pred", "obj"]
-    local = local.sort_values(key).reset_index(drop=True)
-    dist = dist.sort_values(key).reset_index(drop=True)
-    assert sorted(local.columns) == sorted(dist.columns)
-    # one kernel: both branches hand back the same cell types
-    assert {c: type(local[c][0]) for c in dist.columns} == {
-        c: type(dist[c][0]) for c in dist.columns
-    }
-    for c in dist.columns:
-        lv, dv = local[c].tolist(), dist[c].tolist()
-        if c == "sentence_ids":
-            lv = [list(x) for x in lv]
-            dv = [list(x) for x in dv]
-        assert lv == dv, c
+    run_partitioned(pages_path, out, num_parts=8, parts_per_chunk=4,
+                    max_chunks=1)
+    r = run_partitioned(pages_path, out, num_parts=4)
+    assert r["files_read"] == 4 and r["parts_done"] == 4
+    pd.testing.assert_frame_equal(_merged(out), _fresh(tmp_path, page_files, 8))
+    assert sorted(_named_files(out)) == sorted(
+        os.path.join(pages_path, f) for f in os.listdir(pages_path)
+    )
+
+
+def test_a_file_added_after_a_complete_run_is_merged(page_files, tmp_path):
+    pages_path = _inputs(tmp_path / "pages", page_files)
+    out = str(tmp_path / "out")
+    run_partitioned(pages_path, out, num_parts=8)
+    shutil.copy(page_files[8], pages_path)
+    r = run_partitioned(pages_path, out, num_parts=8)
+    assert r["files_read"] == 1
+    pd.testing.assert_frame_equal(_merged(out), _fresh(tmp_path, page_files, 9))
+
+
+def _tree_bytes(root):
+    out = {}
+    for d, _, files in os.walk(root):
+        for f in files:
+            with open(os.path.join(d, f), "rb") as fh:
+                out[os.path.relpath(os.path.join(d, f), root)] = fh.read()
+    return out
+
+
+def test_a_merged_file_rewritten_in_place_is_refused(page_files, tmp_path):
+    pages_path = _inputs(tmp_path / "pages", page_files)
+    out = str(tmp_path / "out")
+    run_partitioned(pages_path, out, num_parts=8)
+    before = _tree_bytes(out)
+    pq.write_table(
+        generate_pages(list(range(200, 212))),
+        os.path.join(pages_path, "pages-3.parquet"),
+    )
+    with pytest.raises(ValueError, match="pages-3.parquet"):
+        run_partitioned(pages_path, out, num_parts=8)
+    assert _tree_bytes(out) == before
+
+
+def test_a_failed_chunk_commit_is_merged_by_the_rerun(
+    page_files, tmp_path, monkeypatch
+):
+    pages_path = _inputs(tmp_path / "pages", page_files)
+    out = str(tmp_path / "out")
+    real = K._commit
+    calls = []
+
+    def commit(store, seq, tag, record):
+        # the second chunk's merge dies before its record is committed
+        if record["kind"] == "merge":
+            calls.append(seq)
+            if len(calls) == 2:
+                raise Crash
+        return real(store, seq, tag, record)
+
+    monkeypatch.setattr(K, "_commit", commit)
+    with pytest.raises(Crash):
+        run_partitioned(pages_path, out, num_parts=8, parts_per_chunk=2)
+    assert len(K.merge_records(out)) == 1
+    monkeypatch.setattr(K, "_commit", real)
+    r = run_partitioned(pages_path, out, num_parts=8, parts_per_chunk=2)
+    assert r["files_read"] == 6 and r["parts_run"] == 6
+    pd.testing.assert_frame_equal(_merged(out), _fresh(tmp_path, page_files, 8))
+    named = _named_files(out)
+    assert len(named) == len(set(named)) == 8
+    # nothing the failed merge wrote is left behind
+    live = set(K._live_runs(out))
+    assert set(K._shard_file_paths(out)) == live
+    assert not [n for n in os.listdir(out) if n.startswith("_staging-")]

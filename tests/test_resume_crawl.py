@@ -1,7 +1,7 @@
 """Resumable composed crawl runner (run.crawl_partitioned): an
 interrupted run must resume at part granularity WITHOUT re-running the
 global winner fold, and the final merged triples must equal the
-one-shot kg_from_crawl row-for-row."""
+one-shot kg_from_crawl row-for-row (in kg_from_crawl's column order)."""
 
 import os
 
@@ -19,8 +19,8 @@ from finance_sc_relations_ray.pipelines.run import (
 SF = "/root/testdata/sf0.001"
 
 
-def _norm(df: pd.DataFrame) -> pd.DataFrame:
-    df = df.copy()
+def _norm(df: pd.DataFrame, columns=None) -> pd.DataFrame:
+    df = df[list(columns if columns is not None else df.columns)].copy()
     df["score"] = df["score"].astype("float64").round(4)
     df["sentence_ids"] = [list(x) for x in df["sentence_ids"]]
     return df.sort_values(["subj", "pred", "obj"]).reset_index(drop=True)
@@ -57,8 +57,8 @@ def test_interrupt_resume_matches_one_shot(tmp_path):
     assert resumed["parts_run"] == 3 and resumed["parts_done"] == 4
     assert _winner_stats(winners_dir) == stats_before
 
-    got = _norm(merge_parts(out).to_pandas())
     exp = _norm(kg_from_crawl(fixture).to_pandas())
+    got = _norm(merge_parts(out).to_pandas(), exp.columns)
     assert len(got) == len(exp)
     for c in exp.columns:
         assert got[c].tolist() == exp[c].tolist(), c
@@ -69,6 +69,6 @@ def test_fresh_run_matches_one_shot(tmp_path):
     out = str(tmp_path / "crawl_out_fresh")
     res = crawl_partitioned(fixture, out, num_parts=2)
     assert res["parts_run"] == 2
-    got = _norm(merge_parts(out).to_pandas())
     exp = _norm(kg_from_crawl(fixture).to_pandas())
+    got = _norm(merge_parts(out).to_pandas(), exp.columns)
     pd.testing.assert_frame_equal(got, exp)

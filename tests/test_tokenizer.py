@@ -147,10 +147,10 @@ def test_page_actor_emits_drop_accounting(tmp_path):
     """A sentence whose tagged variants exceed max_token_len loses its
     markers to truncation → the page-local plan emits the
     _dropped_markers accounting row and run_partitioned records the
-    count in the manifest lineage."""
+    count in the merge's commit record."""
     from finance_sc_relations_ray.pipelines.kg import build_kg_pipeline
-    from finance_sc_relations_ray.pipelines.run import run_partitioned
-    from finance_sc_relations_ray.state.manifest import Manifest
+    from finance_sc_relations_ray.pipelines.kg_state import merge_records
+    from finance_sc_relations_ray.pipelines.run import merge_parts, run_partitioned
 
     path = str(tmp_path / "pages.parquet")
     pq.write_table(
@@ -165,12 +165,10 @@ def test_page_actor_emits_drop_accounting(tmp_path):
 
     out = str(tmp_path / "out")
     run_partitioned(path, out, num_parts=1, parts_per_chunk=1)
-    recs = Manifest(out).metrics()
+    recs = merge_records(out)
     assert sum(r["n_dropped_markers"] for r in recs) > 0
-    # accounting rows are excluded from the written triples
-    import ray.data
-
-    merged = ray.data.read_parquet(out).to_pandas()
+    # accounting rows are excluded from the stored triples
+    merged = merge_parts(out).to_pandas()
     assert (merged["pred"] == "_dropped_markers").sum() == 0
 
 
