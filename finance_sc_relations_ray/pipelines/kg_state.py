@@ -45,12 +45,14 @@ The store is log-structured, as in an LSM-tree:
   shard's meta rows into the record, and commits one record. Base runs
   are never read, decoded or rewritten, so ingest cost scales with the
   delta, not the KG;
-- compaction folds a shard's runs into one run, one shard at a time
+- compaction folds runs of a shard into one run, one shard at a time
   (peak memory is one shard), and commits them as one record that
   removes the runs it replaces. A merge compacts every shard that
-  holds more than :data:`MAX_RUNS` live runs, that is every
-  ``MAX_RUNS``-th merge that touches it; :func:`compact_kg_state`
-  folds every shard to one run;
+  holds more than :data:`MAX_RUNS` live runs, folding its smallest
+  runs of similar size (:func:`_fold_group`, size-tiered as in an
+  LSM-tree), so a long chain of merges rewrites each row about
+  log2(shard rows / merge rows) times, not once per ``MAX_RUNS``
+  merges; :func:`compact_kg_state` folds every shard to one run;
 - ``build_kg_state`` is the same merge into an empty store (a
   ``_meta.parquet`` and no runs, :func:`init_kg_state`);
 - :func:`kg_state_dataset` reads the folded state as a Dataset, one
@@ -104,7 +106,6 @@ against the single-process oracle over the concatenated crawls.
 from __future__ import annotations
 
 import errno
-import functools
 import json
 import os
 import re
@@ -117,8 +118,6 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-from ray.data.block import BlockMetadata
-from ray.data.datasource import Datasource, ReadTask
 
 from ..sources.page_read import parquet_files
 
@@ -150,9 +149,8 @@ STATE_COLS = [
 ]
 # the schema of a run file: the shard itself lives in the dir name
 _FILE_SCHEMA = pa.schema([STATE_SCHEMA.field(c) for c in STATE_COLS])
-# live runs a shard may hold before a merge compacts it: a merge adds
-# at most one run per shard, so a shard compacts on every MAX_RUNS-th
-# merge that touches it
+# live runs a shard may hold after a merge: a merge adds at most one
+# run per shard, and a shard over the cap compacts (_fold_group)
 MAX_RUNS = 8
 _META = "_meta.parquet"
 _LOG = "_log"
@@ -470,18 +468,41 @@ def _meta_rows(staging: str) -> dict:
     }
 
 
+def _fold_group(runs: list[str], rows: dict[str, int], max_runs: int) -> list[str]:
+    """The runs of one shard a compaction folds into one: none while
+    the shard holds at most ``max_runs``; else its smallest runs, the
+    longest such prefix in which no run holds more rows than the others
+    together, and at least as many as bring the shard to ``max_runs``.
+    A run is then rewritten only into a run at least twice its size, so
+    a row is rewritten about log2(shard rows / merge rows) times, not
+    once per ``max_runs`` merges. With one run over the cap, the cap
+    breaks that rule only when the runs' sizes span more than a factor
+    of 2**(max_runs - 1)."""
+    if len(runs) <= max_runs:
+        return []
+    runs = sorted(runs, key=lambda p: (rows[p], p))
+    n, total = len(runs) - max_runs + 1, 0
+    for j, p in enumerate(runs):
+        if j and rows[p] <= total:
+            n = max(n, j + 1)
+        total += rows[p]
+    return runs[:n]
+
+
 def _compact(store: str, max_runs: int) -> list[int]:
-    """Fold every shard holding more than ``max_runs`` live runs into
-    one run, one shard at a time, and commit them as one record that
-    removes the replaced runs (the sweep deletes them). Returns the
-    compacted shards."""
+    """Fold the runs :func:`_fold_group` picks in every shard holding
+    more than ``max_runs`` live runs into one run, one shard at a time,
+    and commit them as one record that removes the replaced runs (the
+    sweep deletes them). Returns the compacted shards."""
     t0 = time.perf_counter()
     seq = _next_seq(store)
-    over = {
-        d: runs
-        for d, runs in _runs_by_shard(_live_runs(store)).items()
-        if len(runs) > max_runs
+    records = _records(store)
+    rows = {p: info["rows"] for r in records for p, info in r["adds"].items()}
+    groups = {
+        d: _fold_group(runs, rows, max_runs)
+        for d, runs in _runs_by_shard(_replay(records)).items()
     }
+    over = {d: runs for d, runs in groups.items() if runs}
     if not over:
         return []
     tag = _new_tag(seq)
@@ -527,39 +548,6 @@ def _delta_identity(path: "str | list[str]") -> dict:
         "rows": sum(f["rows"] for f in files),
         "files": files,
     }
-
-
-class StateShards(Datasource):
-    """The folded state of a store, one read task per shard: the task
-    folds that shard's live runs (:func:`_fold_runs`), so no triple
-    needs an exchange to meet its other rows."""
-
-    def __init__(self, store: str):
-        self._store = store
-        # a store with no runs reads as one empty block
-        self._shards = list(_runs_by_shard(_live_runs(store)).values()) or [[]]
-
-    def estimate_inmemory_data_size(self) -> None:
-        return None
-
-    def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
-        return [
-            ReadTask(
-                functools.partial(_fold_shard, self._store, runs),
-                BlockMetadata(
-                    num_rows=None,
-                    size_bytes=None,
-                    input_files=[os.path.join(self._store, p) for p in runs],
-                    exec_stats=None,
-                ),
-                schema=_FILE_SCHEMA,
-            )
-            for runs in self._shards
-        ]
-
-
-def _fold_shard(store: str, runs: list[str]) -> list[pa.Table]:
-    return [_fold_runs(store, runs).select(STATE_COLS)]
 
 
 # --------------------------------------------------------- public API ----
@@ -720,8 +708,15 @@ def kg_state_dataset(state_dir: str) -> "ray.data.Dataset":
     no exchange. The live runs are those of the log at call time."""
     import ray.data
 
-    src = StateShards(state_dir)
-    return ray.data.read_datasource(src, override_num_blocks=len(src._shards))
+    # a store with no runs reads as one empty block
+    shards = list(_runs_by_shard(_live_runs(state_dir)).values()) or [[]]
+
+    def fold(batch: pa.Table) -> pa.Table:
+        return _fold_runs(state_dir, batch["runs"][0].as_py()).select(STATE_COLS)
+
+    return ray.data.from_items(
+        [{"runs": runs} for runs in shards], override_num_blocks=len(shards)
+    ).map_batches(fold, batch_size=1, batch_format="pyarrow")
 
 
 def read_kg_state(state_dir: str) -> pd.DataFrame:

@@ -20,9 +20,11 @@ Resume is by file, as the reference resumes by the set difference of
 processed file ids (src/glue/glue_etl.py:649-679). A file is done when a
 merge record names it with the same bytes and parquet footer row count;
 a run merges only the files that are not done, so it never reads a done
-file and it merges a file added to the input since the last run. A
-held path whose bytes or rows changed raises ``ValueError``: merges are
-additive, so merging it again would count its triples twice.
+file and it merges a file added to the input since the last run. A file
+is named by its path under the pages root (:func:`_held_name`), so the
+input reached by another path is not merged again. A held name whose
+bytes or rows changed raises ``ValueError``: merges are additive, so
+merging it again would count its triples twice.
 
 Crash granularity is the chunk: a chunk commits as one record, so a
 crash leaves it wholly merged or not merged at all (the store's crash
@@ -42,26 +44,43 @@ from ..sources.page_read import parquet_files
 from . import kg_state
 
 
-def _done_files(out_dir: str, files: list[str]) -> set[str]:
+def _held_name(held: str, root: str, names: dict) -> str | None:
+    """The input file (key of ``names``) a record's absolute path names:
+    its path under the pages ``root`` when it lies there, else (the
+    input reached through another cwd, symlink, mount or job dir) its
+    longest path suffix that names an input file."""
+    if held.startswith(root + os.sep):
+        name = os.path.relpath(held, root)
+        return name if name in names else None
+    parts = held.split(os.sep)
+    for i in range(1, len(parts)):
+        name = os.path.join(*parts[i:])
+        if name in names:
+            return name
+    return None
+
+
+def _done_files(out_dir: str, root: str, files: list[str]) -> set[str]:
     """The ``files`` a merge record of the store names with the same
     bytes and rows; ``ValueError`` for a named file that changed."""
-    held = {
-        f["path"]: (rec["seq"], f)
-        for rec in kg_state.merge_records(out_dir)
-        for f in rec["delta"].get("files", [])
-    }
+    names = {os.path.relpath(f, root): f for f in files}
+    held: dict[str, list] = {}
+    for rec in kg_state.merge_records(out_dir):
+        for f in rec["delta"].get("files", []):
+            name = _held_name(f["path"], root, names)
+            if name is not None:
+                held.setdefault(name, []).append((rec["seq"], f))
     done = set()
-    for path in files:
-        if path not in held:
-            continue
-        seq, was = held[path]
-        now = kg_state.file_identity(path)
-        if now != was:
+    for name, entries in held.items():
+        now = kg_state.file_identity(names[name])
+        if not any((f["bytes"], f["rows"]) == (now["bytes"], now["rows"])
+                   for _, f in entries):
+            seq, was = entries[-1]
             raise ValueError(
-                f"{path} changed since merge record {seq} ({was} now "
+                f"{now['path']} changed since merge record {seq} ({was} now "
                 f"{now}); merging it again would count its triples twice"
             )
-        done.add(path)
+        done.add(names[name])
     return done
 
 
@@ -76,12 +95,16 @@ def run_partitioned(
     """Run (or resume) the pipeline over the input files the store at
     ``out_dir`` does not hold yet, one merge per chunk of parts (module
     docstring). Returns ``parts_done`` (parts whose files the store
-    holds), ``parts_run``, ``files_read`` and ``n_triples`` (the rows
-    this run's merges added). ``num_parts`` clamps to the input file
-    count; ``max_chunks`` exists for tests to simulate an interrupted
-    run."""
+    holds), ``parts_run``, ``files_read`` and ``rows_written`` (rows of
+    the runs this run's merges added, which depends on the block
+    layout; ``merge_parts`` has the triples). ``num_parts`` clamps to
+    the input file count; ``max_chunks`` exists for tests to simulate
+    an interrupted run."""
+    root = os.path.abspath(pages_path)
+    if not os.path.isdir(root):
+        root = os.path.dirname(root)
     files = [os.path.abspath(f) for f in parquet_files(pages_path)]
-    done = _done_files(out_dir, files)
+    done = _done_files(out_dir, root, files)
     kg_state.init_kg_state(out_dir)
     num_parts = min(num_parts, len(files))
     parts = [files[p::num_parts] for p in range(num_parts)]
@@ -99,7 +122,7 @@ def run_partitioned(
     return {
         "parts_done": num_parts - len(todo) + parts_run,
         "parts_run": parts_run,
-        "n_triples": sum(r["rows"] for rec in added for r in rec["adds"].values()),
+        "rows_written": sum(r["rows"] for rec in added for r in rec["adds"].values()),
         "files_read": sum(len(rec["delta"]["files"]) for rec in added),
     }
 

@@ -50,9 +50,9 @@ def test_cli_end_to_end_and_resume(tmp_path):
     _write_pages(pages)
 
     summary = _run_cli(pages, out)
-    assert set(summary) == {"parts_done", "parts_run", "n_triples", "files_read"}
+    assert set(summary) == {"parts_done", "parts_run", "rows_written", "files_read"}
     assert summary["parts_run"] >= 1 and summary["files_read"] == 3
-    assert summary["n_triples"] > 0
+    assert summary["rows_written"] > 0
 
     # output is a triple store with the full payload; the rows the
     # merges added fold to at most as many triples
@@ -63,11 +63,11 @@ def test_cli_end_to_end_and_resume(tmp_path):
     tbl = read_kg_state(out)
     for col in ("subj", "pred", "obj", "score", "n_mentions"):
         assert col in tbl.columns
-    assert 0 < len(tbl) <= summary["n_triples"]
+    assert 0 < len(tbl) <= summary["rows_written"]
 
     # rerun with the same --out: resume skips everything, rows unchanged
     summary2 = _run_cli(pages, out)
     assert summary2["parts_run"] == 0
-    assert summary2["files_read"] == 0 and summary2["n_triples"] == 0
+    assert summary2["files_read"] == 0 and summary2["rows_written"] == 0
     assert summary2["parts_done"] == summary["parts_done"]
     assert read_kg_state(out).equals(tbl)

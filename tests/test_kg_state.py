@@ -368,6 +368,34 @@ def test_compaction_chain_in_place_equals_oracle(
     pd.testing.assert_frame_equal(K.read_kg_state(state), got)
 
 
+def test_compaction_rewrites_each_row_a_logarithmic_number_of_times():
+    # 256 equal merges into one shard at the default cap, counting the
+    # rows every compaction writes (no triple shared between merges, the
+    # worst case). Folding every run of a shard over the cap rewrote
+    # about N**2 / (2 * MAX_RUNS) merge sizes (~40 000 rows here);
+    # folding runs of similar size rewrites a row at most log2(N) times.
+    rows, live, rewritten = {}, [], 0
+    for i in range(256):
+        run = f"shard=0/run-{i:08d}-a.parquet"
+        rows[run] = 10
+        live.append(run)
+        group = K._fold_group(live, rows, K.MAX_RUNS)
+        if group:
+            assert len(group) >= 2
+            folded = f"shard=0/run-{i:08d}-b.parquet"
+            rows[folded] = sum(rows[r] for r in group)
+            rewritten += rows[folded]
+            live = [r for r in live if r not in group] + [folded]
+        assert len(live) <= K.MAX_RUNS
+    assert sum(rows[r] for r in live) == 2560
+    assert rewritten <= 2560 * 8
+    # a large base run is left alone until the runs beside it add up
+    # to its size; compact_kg_state's cap of one folds every run
+    runs = {"base": 1000, **{f"d{i}": 10 for i in range(9)}}
+    assert "base" not in K._fold_group(list(runs), runs, K.MAX_RUNS)
+    assert len(K._fold_group(list(runs), runs, 1)) == 10
+
+
 def test_store_without_log_reads_every_file_and_merges(crawls, base_state):
     # a store written before the commit log (no _log/): every shard
     # file is live, and the first merge adopts them

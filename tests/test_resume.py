@@ -80,7 +80,7 @@ def test_interrupt_and_resume(page_files, tmp_path):
     for rec in recs:
         assert {"delta", "adds", "phase_s", "n_errors"} <= set(rec)
     assert sum(f["rows"] for r in recs for f in r["delta"]["files"]) == 80
-    assert r1["n_triples"] + r2["n_triples"] == sum(
+    assert r1["rows_written"] + r2["rows_written"] == sum(
         run["rows"] for r in recs for run in r["adds"].values()
     )
 
@@ -122,6 +122,34 @@ def test_a_file_added_after_a_complete_run_is_merged(page_files, tmp_path):
     shutil.copy(page_files[8], pages_path)
     r = run_partitioned(pages_path, out, num_parts=8)
     assert r["files_read"] == 1
+    pd.testing.assert_frame_equal(_merged(out), _fresh(tmp_path, page_files, 9))
+
+
+def test_the_same_input_through_another_path_is_not_merged_again(
+    page_files, tmp_path, monkeypatch
+):
+    """Records hold absolute paths; a file is named by its path under
+    the pages root, so a symlink, a relative path from another cwd or a
+    copy of the dir reaches the files the store already holds."""
+    pages_path = _inputs(tmp_path / "pages", page_files)
+    out = str(tmp_path / "out")
+    run_partitioned(pages_path, out, num_parts=8, parts_per_chunk=4,
+                    max_chunks=1)
+    link = str(tmp_path / "link")
+    os.symlink(pages_path, link)
+    assert run_partitioned(link, out, num_parts=8)["files_read"] == 4
+    before = _tree_bytes(out)
+    shutil.copytree(pages_path, tmp_path / "moved" / "pages")
+    monkeypatch.chdir(tmp_path / "moved")
+    for path in ("pages", link, pages_path):
+        r = run_partitioned(path, out, num_parts=4)
+        assert r["files_read"] == 0 and r["parts_run"] == 0
+    assert _tree_bytes(out) == before
+    pd.testing.assert_frame_equal(_merged(out), _fresh(tmp_path, page_files, 8))
+    # a new file named like a held one in another dir is a new name
+    os.makedirs("pages/sub")
+    shutil.copy(page_files[8], "pages/sub/pages-0.parquet")
+    assert run_partitioned("pages", out, num_parts=4)["files_read"] == 1
     pd.testing.assert_frame_equal(_merged(out), _fresh(tmp_path, page_files, 9))
 
 
