@@ -119,7 +119,7 @@ def _ref2group(
     exceeds ``threshold`` wins (spacy_loader.py:52-72)."""
     if not target_names:
         return None
-    target_mat = np.stack([ents_vec[t] for t in target_names])
+    target_mat = np.array([ents_vec[t] for t in target_names])
     for ref in references:
         v = ents_vec.get(ref)
         if v is None:

@@ -91,7 +91,8 @@ def encode_names(names: list[str], dim: int = EMB_DIM) -> np.ndarray:
     """Batch encode → (len(names), dim) float32, rows unit-norm."""
     if not names:
         return np.zeros((0, dim), dtype=np.float32)
-    return np.stack([encode_name(n, dim) for n in names])
+    # np.array builds the same contiguous matrix as np.stack, faster
+    return np.array([encode_name(n, dim) for n in names])
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -58,17 +58,20 @@ def word_search(word: str | None, text: str) -> list[tuple[int, int]]:
     return _find_all(word.lower(), text.lower())
 
 
-def _find_all(sub: str, low_text: str) -> list[tuple[int, int]]:
+def _find_all(sub: str, text: str) -> list[tuple[int, int]]:
     """Non-overlapping literal spans via str.find — identical output to
-    re.finditer(re.escape(sub)) (the hot path runs 5× per pair, so the
+    re.finditer(re.escape(sub)) (tagging runs it twice per pair, so the
     regex machinery is skipped)."""
     out = []
-    i = low_text.find(sub)
+    i = text.find(sub)
     step = len(sub)
     while i != -1:
         out.append((i, i + step))
-        i = low_text.find(sub, i + step)
+        i = text.find(sub, i + step)
     return out
+
+
+_P1, _P2 = "<entity_1>", "<entity_2>"
 
 
 def entity_annotation(
@@ -88,7 +91,27 @@ def entity_annotation(
     ent1_names = sorted(id2org[g1], reverse=True) if g1 is not None else [ent1]
     g2 = org_groups.get(ent2)
     ent2_names = sorted(id2org[g2], reverse=True) if g2 is not None else [ent2]
+    return annotate_pair(sent, ent1, ent2, ent1_names, ent2_names, num_positions)
 
+
+def annotate_pair(
+    sent: str,
+    ent1: str,
+    ent2: str,
+    ent1_names: list[str],
+    ent2_names: list[str],
+    num_positions: float = math.inf,
+) -> list[str]:
+    """:func:`entity_annotation` given each entity's surface forms
+    (its group's names, sorted descending), so a caller tagging many
+    pairs of one sentence builds the group maps once.
+
+    The placeholders are found in the replaced sentence's own
+    coordinates: offsets found in a lowercased copy would slice the
+    original wrongly whenever lowercasing changes a length (``"İ"``
+    lowercases to two characters). Inserting the E1 markers around a
+    placeholder moves every later placeholder by their 11 characters,
+    so each variant's E2 offsets follow without searching again."""
     # later (ent2) assignment wins on collisions, as in the reference's
     # dict-merge at preprocess.py:159-161
     names = {k: 1 for k in ent1_names}
@@ -101,25 +124,20 @@ def entity_annotation(
         else:
             sent = sent.replace(k, f"<entity_{v}>")
 
-    sentence = sent
-    res1 = word_search("<entity_1>", sentence)
+    res2 = _find_all(_P2, sent)
+    shift = len(_E1_START) + len(_E1_END)
     out: list[str] = []
-    count = 0
-    for j in range(len(res1)):
-        r1 = res1[j]
-        s = sentence[: r1[0]] + _E1_START + sentence[r1[0] :]
-        s = s[: r1[1] + 5] + _E1_END + s[r1[1] + 5 :]
-        r1 = word_search("<entity_1>", s)[j]
-        for r2 in word_search("<entity_2>", s):
-            # interval-overlap test ≡ the reference's set(range)&set(range)
-            if r2[0] < r1[1] and r1[0] < r2[1]:
-                continue
-            tagged = s[: r2[0]] + _E2_START + s[r2[0] :]
-            tagged = tagged[: r2[1] + 5] + _E2_END + tagged[r2[1] + 5 :]
-            tagged = tagged.replace("<entity_1>", ent1).replace("<entity_2>", ent2)
-            out.append(tagged)
-            count += 1
-            if count >= num_positions:
+    for a1, b1 in _find_all(_P1, sent):
+        s = sent[:a1] + _E1_START + sent[a1:b1] + _E1_END + sent[b1:]
+        for a2, b2 in res2:
+            # the reference skips overlapping E1/E2 spans; an <entity_1>
+            # and an <entity_2> match can never overlap ('<' and '>'
+            # only bound them), so every E2 placeholder pairs
+            if a2 >= b1:
+                a2, b2 = a2 + shift, b2 + shift
+            tagged = s[:a2] + _E2_START + s[a2:b2] + _E2_END + s[b2:]
+            out.append(tagged.replace(_P1, ent1).replace(_P2, ent2))
+            if len(out) >= num_positions:
                 return out
     return out
 

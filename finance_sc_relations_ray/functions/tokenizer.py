@@ -46,6 +46,11 @@ _MARKER_IDS = {
 _MARKER_RE = re.compile(r"(\[E1\]|\[/E1\]|\[E2\]|\[/E2\])")
 _WORD_RE = re.compile(r"\w+|[^\w\s]")
 _PIECE = 4  # greedy word-piece length
+# one match per id of a marker-free piece: a word's 4-char pieces and
+# each other non-space character (what encode makes of _WORD_RE tokens)
+_ID_CHUNK_RE = re.compile(r"\w{1,%d}|[^\w\s]" % _PIECE)
+# the same with a marker string as one match (markers first)
+_ID_RE = re.compile(r"\[/?E[12]\]|" + _ID_CHUNK_RE.pattern)
 
 # word → piece-id tuple memo (per worker). Natural-language words
 # repeat massively, and tokenization is ~1/3 of the per-page cost in
@@ -106,7 +111,25 @@ def markers_survive(text: str, max_len: int) -> bool:
     ``_VOCAB_OFFSET``, so a word piece can never alias a marker —
     property-tested against the encode path in tests/test_tokenizer.py.
     This is the scoring hot path (one call per scored variant; the
-    full encode was ~22% of per-page time)."""
+    full encode was ~22% of per-page time).
+
+    Without building ids: a marker-free piece gives one id per match
+    of ``_ID_CHUNK_RE`` (a word's 4-character pieces, each other
+    non-space character). In ASCII text lowercasing changes no
+    character class, so the later opening marker's position is one
+    count of ``_ID_RE`` (markers, chunks) over the text before it, and
+    a text short enough that even one id per non-space character keeps
+    that position below ``max_len`` needs no count at all.
+    """
+    pos1, pos2 = text.find("[E1]"), text.find("[E2]")
+    if pos1 < 0 or pos2 < 0:
+        return False
+    if text.isascii():
+        # ids ≤ [CLS] + [SEP] + non-space chars − 3 per [E1]/[E2]
+        # string, and the markers sit before [SEP]
+        if len(text) - text.count(" ") - 4 <= max_len + 1:
+            return True
+        return 1 + len(_ID_RE.findall(text, 0, max(pos1, pos2))) < max_len
     n = 1  # [CLS]
     seen1 = seen2 = False
     for piece in _MARKER_RE.split(text):
@@ -123,10 +146,7 @@ def markers_survive(text: str, max_len: int) -> bool:
                 return True
             n += 1
             continue
-        for word in _WORD_RE.findall(piece.lower()):
-            n += len(_word_ids(word))
-            if n >= max_len:
-                break
+        n += len(_ID_CHUNK_RE.findall(piece.lower()))
     return seen1 and seen2
 
 

@@ -203,9 +203,9 @@ def triples_dataset(
 class AliasExtractActor:
     """Alias-detection stage state (tagger) loaded ONCE per actor in
     ``__init__`` — the same load-once contract as every other model
-    stage (r4 verdict #2: the old form built a ``SentencePairScorer``
-    on the DRIVER and pickled it into a map-fn default argument, which
-    with real weights would ship the model inside the function blob
+    stage (r4 verdict #2: the old form built the page stage's models
+    on the DRIVER and pickled them into a map-fn default argument, which
+    with real weights would ship the models inside the function blob
     and bypass the contract the backend suite proves). Per batch:
     tag each sentence, enumerate alias candidates next to tagged
     entities, keep pairs passing the similarity filter (reference

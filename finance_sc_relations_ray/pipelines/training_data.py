@@ -46,56 +46,44 @@ class TaggedExampleActor:
     functions/weak_labels.py)."""
 
     def __init__(self, config: KGConfig = DEFAULT_CONFIG):
-        from ..stages.fused import SentencePairScorer
+        from ..stages.ner import make_tagger
+        from ..stages.scoring import make_scorer
 
-        self.scorer = SentencePairScorer(config, reverse=False)
+        self.tagger = make_tagger(config)
+        self.re_model = make_scorer(config)
         self.config = config
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions.grouping import (
-            detect_alias_candidates,
-            filter_aliases,
-            group_entities,
-        )
-        from ..functions.names import encode_names, similarity
         from ..functions.tagging import entity_annotation
-        from ..stages.scoring import _representative
+        from ..stages.backends import score_batch, spans_batch
+        from ..stages.fused import group_sentence
+        from ..stages.scoring import _SUPPLY_RE, _representative
 
-        cfg = self.config
+        gated = [
+            (url, sent)
+            for url, sent in zip(batch["url"].to_pylist(), batch["sent"].to_pylist())
+            if _SUPPLY_RE.search(sent) is not None
+        ]
+        spans_list = spans_batch(self.tagger, [s for _, s in gated]) if gated else []
+        rows = []  # (url, tagged, e1, e2)
+        for (url, sent), spans in zip(gated, spans_list):
+            grouped = group_sentence(sent, spans, self.config)
+            if grouped is None:
+                continue
+            groups, _, members = grouped
+            reps = [_representative(m) for m in members]
+            for a in range(len(reps)):
+                for b in range(a + 1, len(reps)):
+                    for tagged in entity_annotation(sent, reps[a], reps[b], groups, 1):
+                        rows.append((url, tagged, reps[a], reps[b]))
+        scores = score_batch(self.re_model, [r[1] for r in rows]) if rows else []
         out = {k: [] for k in ("url", "sents", "relations", "entity1", "entity2")}
-        for url, sent in zip(batch["url"].to_pylist(), batch["sent"].to_pylist()):
-            if self.scorer.supply_re.search(sent) is None:
-                continue
-            spans = self.scorer.tagger.spans(sent)
-            if not spans:
-                continue
-            ents = sorted({sp["text"] for sp in spans})
-            filtered = filter_aliases(
-                detect_alias_candidates(sent, ents), similarity,
-                cfg.alias_sim_threshold,
-            )
-            groups = group_entities(
-                ents, filtered, filtered,
-                dict(zip(ents, encode_names(ents))), cfg.group_threshold,
-            )
-            gids: dict[int, list[str]] = {}
-            for name, gid in groups.items():
-                gids.setdefault(gid, []).append(name)
-            if len(gids) < 2:
-                continue
-            group_ids = sorted(gids)
-            reps = {g: _representative(gids[g]) for g in group_ids}
-            for a in range(len(group_ids)):
-                for b in range(a + 1, len(group_ids)):
-                    e1, e2 = reps[group_ids[a]], reps[group_ids[b]]
-                    for tagged in entity_annotation(sent, e1, e2, groups, 1):
-                        sc = self.scorer._score(tagged)
-                        label = LABELS[max(range(3), key=lambda i: sc[i])]
-                        out["url"].append(url)
-                        out["sents"].append(tagged)
-                        out["relations"].append(label)
-                        out["entity1"].append(e1)
-                        out["entity2"].append(e2)
+        for (url, tagged, e1, e2), sc in zip(rows, scores):
+            out["url"].append(url)
+            out["sents"].append(tagged)
+            out["relations"].append(LABELS[max(range(3), key=lambda i: sc[i])])
+            out["entity1"].append(e1)
+            out["entity2"].append(e2)
         return pa.table({k: pa.array(v, pa.string()) for k, v in out.items()})
 
 

@@ -29,6 +29,40 @@ import time
 import numpy as np
 
 
+# ------------------------------------------------------ batch seam ---
+def spans_batch(tagger, sents: list[str]) -> list[list[dict]]:
+    """One NER call over ``sents``: the tagger's own ``spans_batch``,
+    or, for a backend with only the per-sentence method, a loop over
+    ``spans``. The page stage makes one such call per slice of pages."""
+    batch = getattr(tagger, "spans_batch", None)
+    if batch is not None:
+        return batch(sents)
+    return [tagger.spans(s) for s in sents]
+
+
+def score_batch(scorer, texts: list[str]) -> list[list[float]]:
+    """One RE call over ``texts``: the scorer's own ``score_batch``, or
+    a loop over ``score``. The result holds Python floats: the reverse
+    ensemble and the position mean average them in float64, and their
+    4-decimal rounding and label ties decide relations."""
+    batch = getattr(scorer, "score_batch", None)
+    if batch is not None:
+        return batch(texts)
+    return [scorer.score(t) for t in texts]
+
+
+def _check_batch(batch_fn, backend, items: list[str], per_item: list) -> None:
+    """The batch method equals the per-item results, in order, on the
+    whole list, on an empty list and on the list permuted."""
+    assert batch_fn(backend, items) == per_item, "batch != per-item results"
+    assert batch_fn(backend, []) == [], "batch of [] is not []"
+    order = list(reversed(range(len(items))))
+    order = order[1::2] + order[0::2]
+    assert batch_fn(backend, [items[i] for i in order]) == [
+        per_item[i] for i in order
+    ], "batch result depends on the order of its items"
+
+
 # --------------------------------------------------------- contracts ---
 def check_tagger_contract(tagger, sents: list[str]) -> None:
     """Assert the NER-backend contract the actor stages rely on:
@@ -40,7 +74,9 @@ def check_tagger_contract(tagger, sents: list[str]) -> None:
       inserts markers by offset — overlap would corrupt the sentence);
     - deterministic: same input → same output;
     - pure per call: a sentence's spans do not depend on what the
-      tagger saw before (actors process arbitrary batch interleavings).
+      tagger saw before (actors process arbitrary batch interleavings);
+    - ``spans_batch`` (own, or derived from ``spans``) equals ``spans``
+      sentence by sentence, on an empty and on a permuted list too.
     """
     first_pass = [tagger.spans(s) for s in sents]
     for sent, spans in zip(sents, first_pass):
@@ -58,13 +94,16 @@ def check_tagger_contract(tagger, sents: list[str]) -> None:
     # purity: each sentence alone gives the same spans as in sequence
     for sent, spans in zip(reversed(sents), reversed(first_pass)):
         assert tagger.spans(sent) == spans
+    # the batch seam (own or derived) agrees with ``spans``
+    _check_batch(spans_batch, tagger, sents, first_pass)
 
 
 def check_scorer_contract(scorer, tagged_samples: list[str]) -> None:
     """Assert the RE-scorer contract: ``score(tagged)`` returns one
     finite non-negative float per label (reference softmax over
     {supplier, customer, other}, infer.py:337-353), deterministically
-    and purely."""
+    and purely; ``score_batch`` (own or derived) equals ``score`` item
+    by item."""
     from .scoring import LABELS
 
     first = [scorer.score(t) for t in tagged_samples]
@@ -74,6 +113,7 @@ def check_scorer_contract(scorer, tagged_samples: list[str]) -> None:
     assert [scorer.score(t) for t in tagged_samples] == first
     for t, scores in zip(reversed(tagged_samples), reversed(first)):
         assert scorer.score(t) == scores
+    _check_batch(score_batch, scorer, tagged_samples, first)
 
 
 def check_tokenizer_contract(tokenizer, samples: list[str]) -> None:
@@ -323,3 +363,59 @@ class HeavyFakeScorer:
     def score(self, tagged: str) -> list[float]:
         assert int(self._state[::1_000_000].sum()) == self._probe
         return self._delegate.score(tagged)
+
+
+class _CostModel:
+    """A fake backend whose calls cost ``CALL_S + ITEM_S · n`` seconds
+    of CPU for ``n`` items, the shape of a batched model forward (a
+    fixed launch cost plus a per-item cost). Every call appends
+    ``<pid> <method> <n>`` to ``CALL_LOG``, so a test can count the
+    model calls a stage makes, as :attr:`HeavyFakeTagger.INIT_LOG`
+    counts loads. Results come from the stub backend it wraps."""
+
+    CALL_LOG = "/tmp/fscr_cost_calls.log"
+    CALL_S = 0.002
+    ITEM_S = 0.00005
+
+    def _burn(self, method: str, n: int) -> None:
+        import os
+
+        end = time.process_time() + self.CALL_S + self.ITEM_S * n
+        while time.process_time() < end:
+            pass
+        with open(self.CALL_LOG, "a") as fh:
+            fh.write(f"{os.getpid()} {method} {n}\n")
+
+
+class CostModelTagger(_CostModel):
+    """Cost-model NER fake over the gazetteer tagger."""
+
+    def __init__(self):
+        from .ner import GazetteerTagger
+
+        self._delegate = GazetteerTagger()
+
+    def spans(self, sent: str) -> list[dict]:
+        self._burn("spans", 1)
+        return self._delegate.spans(sent)
+
+    def spans_batch(self, sents: list[str]) -> list[list[dict]]:
+        self._burn("spans_batch", len(sents))
+        return [self._delegate.spans(s) for s in sents]
+
+
+class CostModelScorer(_CostModel):
+    """Cost-model RE fake over the rule scorer."""
+
+    def __init__(self):
+        from .scoring import RuleReScorer
+
+        self._delegate = RuleReScorer()
+
+    def score(self, tagged: str) -> list[float]:
+        self._burn("score", 1)
+        return self._delegate.score(tagged)
+
+    def score_batch(self, texts: list[str]) -> list[list[float]]:
+        self._burn("score_batch", len(texts))
+        return [self._delegate.score(t) for t in texts]

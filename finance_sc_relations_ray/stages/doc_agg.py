@@ -63,10 +63,14 @@ def _cluster_doc_orgs(
     threshold: float,
 ):
     """Greedy similarity+alias clustering (reporter.py:283-312).
-    Returns (org2id, id2org, sims) where sims is the similarity matrix
-    reused for reporter-name search."""
+    Returns (org2id, id2org, similar) where ``similar[i]`` lists the
+    orgs whose similarity to ``all_orgs[i]`` reaches ``threshold``
+    (reused for the reporter-name search)."""
     vecs = encode_names(all_orgs)
     sims = vecs @ vecs.T if len(all_orgs) else np.zeros((0, 0), dtype=np.float32)
+    similar: list[list[str]] = [[] for _ in all_orgs]
+    for i, j in zip(*(ix.tolist() for ix in np.nonzero(sims >= threshold))):
+        similar[i].append(all_orgs[j])
     org2id: dict[str, int] = {}
     id2org: dict[int, list[str]] = {}
     seen: set[str] = set()
@@ -74,7 +78,7 @@ def _cluster_doc_orgs(
     for i, org in enumerate(all_orgs):
         if org in seen:
             continue
-        matches = [all_orgs[j] for j in np.flatnonzero(sims[i] >= threshold)]
+        matches = similar[i]
         n_matches = matches + [n for m in matches for n in alias2name.get(m, [])]
         n_matches = n_matches + [n for m in n_matches for n in name2alias.get(m, [])]
         for name in n_matches:
@@ -84,7 +88,7 @@ def _cluster_doc_orgs(
         )
         ids_c += 1
         seen.update(n_matches)
-    return org2id, id2org, sims
+    return org2id, id2org, similar
 
 
 def _derive_reporter(sent_groups: dict[int, list[dict]]) -> str:
@@ -119,6 +123,39 @@ def aggregate_doc(
     )
 
 
+def pair_verdicts(
+    r_ids: list[str], scores: list[list[float]]
+) -> list[tuple[int, str, float]]:
+    """R4 + R5: each pair's position-mean scores (deduplicated by
+    ``r_id``, first row wins, reference drop_duplicates infer.py:344),
+    then its argmax label and 4-decimal score, as ``(first row, label,
+    score)`` in first-row order.
+
+    Plain float64 Python: the per-column sums in row order and one
+    division by the count are the operations of a numpy float64
+    accumulation, and the first maximum wins as in ``np.argmax``, so
+    the rounding and the label ties see the same bits."""
+    sums: dict[str, list[float]] = {}
+    cnt: dict[str, int] = {}
+    first_row: dict[str, int] = {}
+    for i, (rid, sc) in enumerate(zip(r_ids, scores)):
+        acc = sums.get(rid)
+        if acc is None:
+            sums[rid] = [float(x) for x in sc]
+            cnt[rid] = 1
+            first_row[rid] = i
+        else:
+            for j, x in enumerate(sc):
+                acc[j] += float(x)
+            cnt[rid] += 1
+    out = []
+    for rid, i in first_row.items():
+        mean = [v / cnt[rid] for v in sums[rid]]
+        k = max(range(len(mean)), key=mean.__getitem__)
+        out.append((i, LABELS[k], round(mean[k], 4)))
+    return out
+
+
 def _aggregate_doc_into(
     col: dict[str, list], out: dict[str, list], config: KGConfig = DEFAULT_CONFIG
 ) -> None:
@@ -127,28 +164,7 @@ def _aggregate_doc_into(
     n = len(col["url"])
     url = col["url"][0]
 
-    # R4: mean scores over position variants of each pair + dedup by
-    # r_id (first row wins, reference drop_duplicates infer.py:344)
-    sums: dict[str, np.ndarray] = {}
-    cnt: dict[str, int] = {}
-    first_row: dict[str, int] = {}
-    for i in range(n):
-        rid = col["r_id"][i]
-        sc = np.asarray(col["scores"][i], dtype=np.float64)
-        if rid in sums:
-            sums[rid] += sc
-            cnt[rid] += 1
-        else:
-            sums[rid] = sc.copy()
-            cnt[rid] = 1
-            first_row[rid] = i
-
-    # R5: argmax label + score per deduped pair
-    pair_rows = []  # (row_idx, relation, rel_score)
-    for rid, i in first_row.items():
-        sc = sums[rid] / cnt[rid]
-        k = int(np.argmax(sc))
-        pair_rows.append((i, LABELS[k], round(float(sc[k]), 4)))
+    pair_rows = pair_verdicts(col["r_id"], col["scores"])
 
     # document alias closure (reporter.py:270-277)
     alias_pairs = {
@@ -161,7 +177,7 @@ def _aggregate_doc_into(
         alias2name[alias].append(target)
 
     all_orgs = sorted({d["name"] for lst in col["org_groups"] for d in lst})
-    org2id, id2org, sims = _cluster_doc_orgs(
+    org2id, id2org, similar = _cluster_doc_orgs(
         all_orgs, alias2name, name2alias, config.cluster_threshold
     )
 
@@ -171,10 +187,7 @@ def _aggregate_doc_into(
     reporter = _derive_reporter(sent_groups)
     # reporter-similar names (reporter.py:313-315): search over doc orgs
     if reporter in all_orgs:
-        i = all_orgs.index(reporter)
-        reporter_names = [
-            all_orgs[j] for j in np.flatnonzero(sims[i] >= config.cluster_threshold)
-        ]
+        reporter_names = similar[all_orgs.index(reporter)]
     else:
         rv = encode_names([reporter])[0]
         vecs = encode_names(all_orgs)

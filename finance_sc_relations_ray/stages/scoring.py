@@ -28,6 +28,7 @@ import pyarrow.compute as pc
 
 from ..config import DEFAULT_CONFIG, KGConfig
 from ..functions.tagging import entity_annotation, inverse_relations
+from ..functions.tokenizer import tokenizer_markers_survive
 from .ner import ALIAS_T, ORG_GROUP_T
 
 SUPPLY_KEYWORDS = (
@@ -139,35 +140,35 @@ class RuleReScorer:
     _verb_re = re.compile(r"supplied|supplies|is a supplier of")
 
     def score(self, tagged: str) -> list[float]:
-        e1_pos = tagged.find("[E1]")
-        e2_pos = tagged.find("[E2]")
-        role1 = self._role(tagged, e1_pos)
-        role2 = self._role(tagged, e2_pos)
-        if role1 and role2 and role1 != role2:
-            label = role2  # e2's role relative to e1
-        else:
-            label = "other"
+        label = "other"
+        pos1, pos2 = tagged.find("[E1]"), tagged.find("[E2]")
+        if pos1 >= 0 and pos2 >= 0:
+            role1, role2 = self._roles(tagged, pos1, pos2)
+            if role1 and role2 and role1 != role2:
+                label = role2  # e2's role relative to e1
         return [0.90 if lab == label else 0.05 for lab in LABELS]
 
-    def _role(self, sent: str, pos: int) -> str | None:
-        if pos < 0:
-            return None
+    def _roles(self, sent: str, pos1: int, pos2: int):
+        """The zone roles (None outside every zone) of the entities at
+        ``pos1`` and ``pos2``, with the zones found once per sentence."""
         if "customers, including" in sent:
             inc = sent.find("including")
             acc = sent.find("accounted")
             att = sent.find("attributable to")
-            if inc <= pos < acc:
-                return "customer"
-            if att >= 0 and pos > att:
-                return "supplier"
-            return None
+            return (
+                "customer" if inc <= pos1 < acc
+                else "supplier" if att >= 0 and pos1 > att else None,
+                "customer" if inc <= pos2 < acc
+                else "supplier" if att >= 0 and pos2 > att else None,
+            )
         m = self._verb_re.search(sent)
-        if m:
-            if pos < m.start():
-                return "supplier"
-            if pos >= m.end():
-                return "customer"
-        return None
+        if m is None:
+            return None, None
+        start, end = m.span()
+        return (
+            "supplier" if pos1 < start else "customer" if pos1 >= end else None,
+            "supplier" if pos2 < start else "customer" if pos2 >= end else None,
+        )
 
 
 def make_scorer(config: KGConfig):
@@ -191,14 +192,12 @@ def prepare_for_scoring(
     tagged: str, org_groups, config: KGConfig, tokenizer
 ) -> str | None:
     """Shared M8+M10 front half for every scoring path (composable
-    ReScorerActor and fused SentencePairScorer — both must drop the
+    ReScorerActor and the fused page stage — both must drop the
     SAME variants for the pipeline to equal the oracle):
     optional org pseudonymization (mutate_sent, reference re_dataset
     mutate=True), then marker-survival check after stub tokenization +
     truncation. Returns the text to score, or None → drop + count.
     ``org_groups`` is the list<struct{name,gid}> cell or None."""
-    from ..functions.tokenizer import tokenizer_markers_survive
-
     if config.mutate_before_scoring and org_groups:
         from ..functions.tagging import mutate_sent
 

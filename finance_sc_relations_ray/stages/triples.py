@@ -12,6 +12,7 @@ stages/shuffle.py.
 from __future__ import annotations
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..config import DEFAULT_CONFIG, KGConfig
 
@@ -32,60 +33,63 @@ TRIPLES_SCHEMA = pa.schema(
 def to_triples_batch(
     batch: pa.Table, config: KGConfig = DEFAULT_CONFIG
 ) -> pa.Table:
-    """Linked doc_relations rows → per-document triple rows."""
-    out = {name: [] for name in TRIPLES_SCHEMA.names}
-    pred = config.canonical_pred
-    has_link = "entity_id" in batch.column_names
-    rows = batch.to_pylist()
-    for row in rows:
-        label = row["relation"]
-        if label == "_error":
-            # dead-letter passthrough (poison-row quarantine): ride the
-            # triples stream as a (url, "_error", exc_type) row so one
-            # pipeline pass carries both outputs; a triple-store merge
-            # lists them in its commit record (pipelines/kg_state.py)
-            out["subj"].append(row["url"])
-            out["pred"].append("_error")
-            out["obj"].append(row["company"])
-            out["subj_id"].append(None)
-            out["obj_id"].append(None)
-            out["score"].append(0.0)
-            out["url"].append(row["url"])
-            out["sentence_ids"].append([])
-            continue
-        if label == "_meta_dropped":
-            # M10 marker-drop accounting (n_pairs = drop count rides in
-            # obj): a triple-store merge sums it into its commit record
-            # and keeps it out of the state
-            out["subj"].append(row["url"])
-            out["pred"].append("_dropped_markers")
-            out["obj"].append(str(row["n_pairs"]))
-            out["subj_id"].append(None)
-            out["obj_id"].append(None)
-            out["score"].append(0.0)
-            out["url"].append(row["url"])
-            out["sentence_ids"].append([])
-            continue
-        if label not in config.main_relations:
-            continue
-        company, reporter = row["company"], row["reporter"]
-        cid = row.get("entity_id") if has_link else None
-        rid = row.get("reporter_id") if has_link else None
-        if label == "supplier":
-            subj, obj, sid, oid = company, reporter, cid, rid
-        else:  # customer: reporter supplies the company
-            subj, obj, sid, oid = reporter, company, rid, cid
-        out["subj"].append(subj)
-        out["pred"].append(pred)
-        out["obj"].append(obj)
-        out["subj_id"].append(sid)
-        out["obj_id"].append(oid)
-        out["score"].append(row["score"])
-        out["url"].append(row["url"])
-        out["sentence_ids"].append(row["sentence_ids"])
-    return pa.table(
-        {
-            n: pa.array(out[n], type=TRIPLES_SCHEMA.field(n).type)
-            for n in TRIPLES_SCHEMA.names
-        }
+    """Linked doc_relations rows → per-document triple rows, in Arrow
+    compute, input order kept. Three kinds of row pass:
+
+    - a main-relation verdict: supplier-label → company supplies the
+      reporter, any other main label → the reporter supplies the
+      company, with the linked ids when ``batch`` has them;
+    - an ``_error`` dead letter, as ``(url, "_error", exception type)``:
+      one pipeline pass carries both outputs, and a triple-store merge
+      lists them in its commit record (pipelines/kg_state.py);
+    - a ``_meta_dropped`` row, as ``(url, "_dropped_markers", count)``
+      (the M10 marker-drop count rides in ``n_pairs``): a triple-store
+      merge sums it into its commit record and keeps it out of the
+      state.
+
+    Other verdicts ("other") emit nothing."""
+    main = pa.array(config.main_relations, pa.string())
+    meta = pa.array(["_error", "_meta_dropped"], pa.string())
+    t = batch.filter(pc.is_in(batch["relation"], pa.concat_arrays([main, meta])))
+    rel = t["relation"]
+    is_main = pc.is_in(rel, main)
+    is_err = pc.equal(rel, "_error")
+    is_sup = pc.equal(rel, "supplier")
+
+    def main_or(value, other):
+        return pc.if_else(is_main, value, other)
+
+    company, reporter, url = t["company"], t["reporter"], t["url"]
+    null_id = pa.nulls(t.num_rows, pa.string())
+    if "entity_id" in t.column_names:
+        cid = t["entity_id"]
+        rid = t["reporter_id"] if "reporter_id" in t.column_names else null_id
+        subj_id = main_or(pc.if_else(is_sup, cid, rid), null_id)
+        obj_id = main_or(pc.if_else(is_sup, rid, cid), null_id)
+    else:
+        subj_id = obj_id = null_id
+    ids_t = TRIPLES_SCHEMA.field("sentence_ids").type
+    cols = {
+        "subj": main_or(pc.if_else(is_sup, company, reporter), url),
+        "pred": main_or(
+            pa.scalar(config.canonical_pred),
+            pc.if_else(is_err, "_error", "_dropped_markers"),
+        ),
+        "obj": main_or(
+            pc.if_else(is_sup, reporter, company),
+            pc.if_else(is_err, company, pc.cast(t["n_pairs"], pa.string())),
+        ),
+        "subj_id": subj_id,
+        "obj_id": obj_id,
+        "score": main_or(
+            pc.cast(t["score"], pa.float32()), pa.scalar(0.0, pa.float32())
+        ),
+        "url": url,
+        "sentence_ids": main_or(
+            pc.cast(t["sentence_ids"], ids_t), pa.array([[]] * t.num_rows, ids_t)
+        ),
+    }
+    return pa.Table.from_arrays(
+        [pc.cast(cols[f.name], f.type) for f in TRIPLES_SCHEMA],
+        schema=TRIPLES_SCHEMA,
     )

@@ -195,7 +195,7 @@ def test_markers_survive_equivalent_to_encode_path():
     """markers_survive is the scoring hot path's short-circuit stand-in
     for get_e1e2_start(encode(text)) — must agree EXACTLY, including at
     truncation boundaries (max_len swept across the marker positions)."""
-    from hypothesis import given, settings
+    from hypothesis import example, given, settings
     from hypothesis import strategies as st
 
     from finance_sc_relations_ray.functions.tokenizer import markers_survive
@@ -203,13 +203,21 @@ def test_markers_survive_equivalent_to_encode_path():
     pieces = st.lists(
         st.sampled_from(
             ["[E1]", "[/E1]", "[E2]", "[/E2]", "word", "Multi Word Corp",
-             "x" * 23, "a,b.c", "", " ", "7 Samsung-Electronics 99"]
+             "x" * 23, "a,b.c", "", " ", "7 Samsung-Electronics 99",
+             "İzmir Straße"]
         ),
         min_size=0, max_size=12,
     )
 
     @settings(max_examples=300, deadline=None)
     @given(pieces, st.integers(min_value=2, max_value=40))
+    # "İ" lowercases to "i" + a combining dot, one id more than unlowered
+    @example(["İzmir Straße", "[E1]", "word", "[E2]"], 8)
+    # [E2] lands exactly on the truncation limit
+    @example(["[E1]", "[E2]"], 2)
+    # one id per non-space character: the length bound is tight here
+    @example(["[E1]", "a,b.c", "[E2]"], 7)
+    @example(["[E1]", "a,b.c", "[E2]"], 8)
     def check(parts, max_len):
         text = " ".join(parts)
         tok = StubTokenizer(max_len)
