@@ -2,9 +2,11 @@
 
 Re-implements the reference's tagging semantics:
 
-- ``word_search`` (src/utils/preprocess.py:50-65): case-insensitive
-  literal spans. The reference has a second, shuffling variant
-  (:81-96) — we keep only the deterministic one.
+- the reference's word search (src/utils/preprocess.py:50-65) is the
+  placeholder search of ``annotate_pair`` (``_find_all``): literal
+  spans, found case-sensitively in the sentence's own coordinates. The
+  reference has a second, shuffling variant (:81-96) — we keep only
+  the deterministic one.
 - ``entity_annotation`` (src/utils/preprocess.py:109-220): replace every
   surface form of the two groups (longest-first) with
   ``<entity_1>/<entity_2>`` placeholders (with the ``’s``→``'s``
@@ -50,12 +52,6 @@ def num2word(n: int) -> str:
         word = _NUMWORDS_TENS[tens - 2]
         return f"{word}-{_NUMWORDS_SMALL[rem]}" if rem else word
     return "one hundred"
-
-
-def word_search(word: str | None, text: str) -> list[tuple[int, int]]:
-    if word is None:
-        return []
-    return _find_all(word.lower(), text.lower())
 
 
 def _find_all(sub: str, text: str) -> list[tuple[int, int]]:

@@ -408,7 +408,7 @@ def write_kv_items(
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         # crc32, not pd.util.hash: the bucket is a PERSISTED partition
-        # key (web._url_shards rationale — cross-job stability)
+        # key (state/table.route rationale — cross-job stability)
         b = [
             zlib.crc32(k.encode("utf-8")) % num_buckets
             for k in batch["pk"].to_pylist()

@@ -28,6 +28,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..sources.io import sized_read_parquet
+from ..state import table as T
 
 _URL_RE = r"^https?://([^/]+)/page/(\d+)$"
 
@@ -171,21 +172,8 @@ def url_dedup_pages(pages_path: str) -> "object":
 
     ds = sized_read_parquet(pages_path, columns=["url", "warc_ts"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "url": canonicalize_urls(batch["url"].to_pandas()),
-                "warc_ts": batch["warc_ts"].to_pandas(),
-            }
-        )
-        g = df.groupby("url", as_index=False, sort=False).agg(
-            n_dups=("warc_ts", "size"), last_ts=("warc_ts", "max")
-        )
-        g["n_dups"] = g["n_dups"].astype(np.int64)
-        return pa.Table.from_pandas(g, preserve_index=False)
-
     return (
-        ds.map_batches(partial, batch_format="pyarrow")
+        ds.map_batches(_url_counts, batch_format="pyarrow")
         .groupby("url")
         .aggregate(
             Sum("n_dups", alias_name="n_dups"),
@@ -321,62 +309,50 @@ def pages_with_url_variants_parquet_for(sf_dir: str) -> str:
 # -------------------------------------------- incremental url state ----
 # The production shape of url dedup at crawl scale: snapshots arrive
 # incrementally, so the canonical-url state (url → n_dups, last_ts) is
-# a PERSISTED sharded artifact that each new crawl delta merges into —
-# never a whole-corpus re-dedup. Base∩delta url overlap is THE POINT
-# here (a recrawl merges: Sum n_dups, Max last_ts), not an error.
+# a PERSISTED artifact that each new crawl delta merges into, never a
+# whole-corpus re-dedup. It is a log-structured table (state/table.py)
+# keyed by the canonical url, whose fold is Sum n_dups and Max last_ts
+# per url. Base∩delta url overlap is THE POINT here (a recrawl merges),
+# not an error. A merge is one Ray Data execution,
+# ReadParquet->MapBatches(partial)->Write, that writes the delta's
+# per-batch partials as at most one new run per shard; the state's
+# runs are hardlinked into the new directory, never read.
+
+URL_STATE_SCHEMA = pa.schema([
+    ("url", pa.string()),
+    ("n_dups", pa.int64()),
+    ("last_ts", pa.timestamp("us")),
+])
 
 
-def _url_shards(urls: pd.Series, n_shards: int) -> np.ndarray:
-    """Stable PERSISTED shard routing: md5 of the canonical url (the
-    repo's exact-dedup key hash, functions/textops.fingerprint — NOT
-    pd.util.hash_pandas_object, whose stability contract is
-    within-job). Per-row hashing is the same cost class as the
-    exact-dedup partial that feeds it."""
-    from ..functions import textops
-
-    return np.fromiter(
-        (int(textops.fingerprint(u)[:8], 16) % n_shards for u in urls),
-        dtype=np.int64,
-        count=len(urls),
+def _fold_urls(rows: pa.Table) -> pa.Table:
+    """One row per url: Sum n_dups, Max last_ts (associative and
+    commutative, so any split of the rows into runs folds alike)."""
+    out = rows.group_by("url").aggregate(
+        [("n_dups", "sum"), ("last_ts", "max")]
     )
+    return pa.table(
+        {"url": out["url"], "n_dups": out["n_dups_sum"],
+         "last_ts": out["last_ts_max"]}
+    ).sort_by("url")
 
 
-def _url_state_partials(pages_path: str, n_shards: int) -> "object":
-    """pages → per-batch (url, n_dups, last_ts, shard) combiner rows."""
-    ds = sized_read_parquet(pages_path, columns=["url", "warc_ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "url": canonicalize_urls(batch["url"].to_pandas()),
-                "warc_ts": batch["warc_ts"].to_pandas(),
-            }
-        )
-        g = df.groupby("url", as_index=False, sort=False).agg(
-            n_dups=("warc_ts", "size"), last_ts=("warc_ts", "max")
-        )
-        g["n_dups"] = g["n_dups"].astype(np.int64)
-        g["shard"] = _url_shards(g["url"], n_shards)
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    return ds.map_batches(partial, batch_format="pyarrow")
+URL_STATE = T.Spec(["url"], URL_STATE_SCHEMA, _fold_urls)
 
 
-def _fold_state(ds: "object") -> "object":
-    """(url, n_dups, last_ts, shard) rows → one folded row per url,
-    grouped by shard (per-group overhead paid per shard, the merge
-    inside is one vectorized pandas aggregation)."""
-    from ..stages.shuffle import NO_FUSE_NUM_CPUS
-
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby(["shard", "url"], as_index=False, sort=False).agg(
-            n_dups=("n_dups", "sum"), last_ts=("last_ts", "max")
-        )
-        out["n_dups"] = out["n_dups"].astype(np.int64)
-        return out[["url", "n_dups", "last_ts", "shard"]]
-
-    return ds.groupby("shard").map_groups(
-        fold, batch_format="pandas", num_cpus=NO_FUSE_NUM_CPUS
+def _url_counts(batch: pa.Table) -> pa.Table:
+    """A pages batch (url, warc_ts) → one (url, n_dups, last_ts) row
+    per canonical url of the batch: the per-batch combiner of the
+    one-shot dedup and of a url-state merge."""
+    n = batch.num_rows
+    return _fold_urls(
+        pa.table({
+            "url": pa.array(
+                canonicalize_urls(batch["url"].to_pandas()), pa.string()
+            ),
+            "n_dups": pa.array(np.ones(n, np.int64)),
+            "last_ts": batch["warc_ts"],
+        })
     )
 
 
@@ -390,147 +366,50 @@ def _refuse_existing(out_dir: str) -> None:
 def build_url_state(
     pages_path: str, out_dir: str, n_shards: int = 16
 ) -> str:
-    """Persist the canonical-url dedup state: hive-partitioned parquet
-    ``shard=<k>/`` dirs (one folded row per canonical url) plus a
-    one-row ``_meta.parquet`` recording n_shards. Distributed
-    ``write_parquet``; atomic tmp+rename so a killed build never
-    leaves a half-state a later merge would trust. ``out_dir`` must
-    not exist: deleting it first could die half way and leave a state
-    that reads without error with shards missing."""
-    import shutil
-
+    """Persist the canonical-url dedup state (one folded row per
+    canonical url over ``n_shards`` shards): the merge of the crawl into
+    an empty state, so a killed build leaves no state at ``out_dir``.
+    ``out_dir`` must not exist: deleting it first could die half way
+    and leave a state that reads without error with shards missing."""
     _refuse_existing(out_dir)
-    tmp = out_dir + ".tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
-    os.makedirs(tmp, exist_ok=True)
-    _fold_state(_url_state_partials(pages_path, n_shards)).write_parquet(
-        tmp, partition_cols=["shard"]
-    )
-    pq.write_table(
-        pa.table({"n_shards": pa.array([n_shards], pa.int64())}),
-        os.path.join(tmp, "_meta.parquet"),
-    )
-    os.replace(tmp, out_dir)
-    return out_dir
+    with T.empty_table(out_dir, n_shards) as empty:
+        return update_url_state(empty, pages_path, out_dir)
 
 
 def update_url_state(
     state_dir: str, delta_pages_path: str, out_dir: str
 ) -> str:
-    """Merge a DELTA crawl into a persisted url state — incremental
-    ingest with a SHARD-PRUNED merge: shards the delta does not touch
-    are carried forward at FILE level (copy, no read, no shuffle, no
-    decode); only touched shards pay a read + fold. At crawl scale a
-    daily delta touches a bounded url set, so the merge cost scales
-    with the DELTA (plus its shards' state rows), not the corpus.
+    """Merge a DELTA crawl into a persisted url state: one Ray Data
+    execution writes the delta's per-batch partials as new runs of the
+    shards its urls route to, then one record commits them
+    (state/table.merge). The state's runs are hardlinked into
+    ``out_dir``, never read or rewritten, so the merge costs the delta,
+    not the corpus.
 
-    Result is row-identical to rebuilding from the concatenated crawls
-    (pytest-enforced): the fold (Sum n_dups, Max last_ts per url) is
-    associative and commutative, so state ∪ delta-partials folds to
-    the same rows as one global pass. Overlapping urls between base
-    and delta MERGE (that is the operator's purpose — recrawls bump
-    n_dups and advance last_ts). ``out_dir`` must not exist, so a merge
-    never writes in place (see :func:`build_url_state`)."""
-    import shutil
-
-    import ray.data
-
+    Readers fold the runs (Sum n_dups, Max last_ts per url), which is
+    associative and commutative, so the merged state reads
+    row-identical to a rebuild from the concatenated crawls
+    (pytest-enforced). Overlapping urls between base and delta MERGE
+    (that is the operator's purpose — recrawls bump n_dups and advance
+    last_ts). ``out_dir`` must not exist, so a merge never writes in
+    place (see :func:`build_url_state`)."""
     _refuse_existing(out_dir)
-    meta = pq.read_table(os.path.join(state_dir, "_meta.parquet"))
-    n_shards = int(meta["n_shards"][0].as_py())
 
-    # delta partials, materialized (delta-bounded) — consumed twice:
-    # the touched-shard probe and the merge union
-    delta = _url_state_partials(delta_pages_path, n_shards).materialize()
-    # an EMPTY delta (no rows at all) loses its schema through the
-    # groupby and KeyErrors — short-circuit to "no shards touched"
-    # (every shard carries forward, ranks/state unchanged)
-    if delta.count() == 0:
-        touched = []
-    else:
-        touched = sorted(
-            delta.groupby("shard")
-            .count()
-            .to_pandas()["shard"]
-            .astype(int)
-            .tolist()
-        )
-    touched_set = set(touched)
+    def rows(n_shards: int) -> "ray.data.Dataset":
+        def partial(batch: pa.Table) -> pa.Table:
+            return T.sharded(URL_STATE, _url_counts(batch), n_shards)
 
-    tmp = out_dir + ".tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
-    os.makedirs(tmp, exist_ok=True)
+        return sized_read_parquet(
+            delta_pages_path, columns=["url", "warc_ts"]
+        ).map_batches(partial, batch_format="pyarrow")
 
-    # untouched shards: file-level carry-forward (never read)
-    for name in os.listdir(state_dir):
-        if not name.startswith("shard="):
-            continue
-        k = int(name.split("=", 1)[1])
-        if k not in touched_set:
-            shutil.copytree(
-                os.path.join(state_dir, name), os.path.join(tmp, name)
-            )
-
-    # touched shards: path-pruned read of ONLY those shard dirs, union
-    # with the delta partials, re-fold, write back as shard=<k>/ dirs
-    if touched:
-        # read_parquet takes FILE paths when given a list — expand each
-        # touched shard dir to its parquet files
-        base_paths = [
-            os.path.join(state_dir, f"shard={k}", f)
-            for k in touched
-            if os.path.isdir(os.path.join(state_dir, f"shard={k}"))
-            for f in sorted(os.listdir(os.path.join(state_dir, f"shard={k}")))
-            if f.endswith(".parquet")
-        ]
-        parts = delta
-        if base_paths:
-            base = ray.data.read_parquet(
-                base_paths, columns=["url", "n_dups", "last_ts"]
-            )
-
-            def reshard(batch: pa.Table) -> pa.Table:
-                urls = batch["url"].to_pandas()
-                return batch.append_column(
-                    "shard",
-                    pa.array(_url_shards(urls, n_shards), pa.int64()),
-                )
-
-            parts = base.map_batches(
-                reshard, batch_format="pyarrow"
-            ).union(delta)
-        _fold_state(parts).write_parquet(tmp, partition_cols=["shard"])
-
-    shutil.copy2(
-        os.path.join(state_dir, "_meta.parquet"),
-        os.path.join(tmp, "_meta.parquet"),
-    )
-    os.replace(tmp, out_dir)
-    return out_dir
-
-
-def state_parquet_paths(state_dir: str) -> list[str]:
-    """Parquet files of a persisted url state's ``shard=<k>/`` dirs —
-    the single place that knows the on-disk layout (consumed by
-    :func:`read_url_state`)."""
-    return [
-        os.path.join(state_dir, n, f)
-        for n in sorted(os.listdir(state_dir))
-        if n.startswith("shard=")
-        for f in sorted(os.listdir(os.path.join(state_dir, n)))
-        if f.endswith(".parquet")
-    ]
+    return T.merge(URL_STATE, state_dir, out_dir, rows, delta_pages_path)
 
 
 def read_url_state(state_dir: str) -> pd.DataFrame:
-    """(url, n_dups, last_ts) rows of a persisted state (all shards),
+    """(url, n_dups, last_ts) rows of a persisted state, one per url,
     sorted by url — the comparison/reporting shim."""
-    import ray.data
-
-    out = ray.data.read_parquet(
-        state_parquet_paths(state_dir), columns=["url", "n_dups", "last_ts"]
-    ).to_pandas()
-    return out.sort_values("url").reset_index(drop=True)
+    return T.read_frame(URL_STATE, state_dir)
 
 
 def url_state_update(sf_dir: str) -> pd.DataFrame:
@@ -538,10 +417,9 @@ def url_state_update(sf_dir: str) -> pd.DataFrame:
     :func:`url_dedup_pages` (same SQL oracle). Builds the persisted
     state from the BASE pages (cached), merges the planted
     variant rows as a crawl delta through :func:`update_url_state`
-    (shard-pruned: only the delta's shards are read), and reads the
-    merged state back. Row-identical to the one-shot fold over the
-    variant-planted table by the fold's associativity — which the
-    shared oracle then hash-checks."""
+    and reads the merged state back. Row-identical to the one-shot
+    fold over the variant-planted table by the fold's associativity —
+    which the shared oracle then hash-checks."""
     import shutil
     import tempfile
 

@@ -21,6 +21,7 @@ import pytest
 
 from finance_sc_relations_ray.pipelines import kg_state as K
 from finance_sc_relations_ray.sources.pages import generate_pages
+from finance_sc_relations_ray.state import table as T
 from oracle.kg_oracle import expected_triples
 
 
@@ -228,7 +229,8 @@ def test_empty_store_reads_empty_and_merges(crawls):
 
 def test_triple_shard_routing_is_pinned():
     # stores on disk route by this function: literal keys pin it, and
-    # the per-row md5 loop it replaced stays the reference
+    # the per-row md5 loop it replaced stays the reference; the url
+    # state routes by the same function on its one key column
     import hashlib
 
     keys = pd.DataFrame(
@@ -243,9 +245,9 @@ def test_triple_shard_routing_is_pinned():
         ],
         columns=K.STATE_KEYS,
     )
-    assert K._triple_shards(keys, 16).tolist() == [6, 14, 9, 5, 15, 6]
-    assert K._triple_shards(keys, 7).tolist() == [2, 0, 6, 2, 0, 2]
-    assert K._triple_shards(keys.iloc[:0], 16).tolist() == []
+    assert T.route(keys, K.STATE_KEYS, 16).tolist() == [6, 14, 9, 5, 15, 6]
+    assert T.route(keys, K.STATE_KEYS, 7).tolist() == [2, 0, 6, 2, 0, 2]
+    assert T.route(keys.iloc[:0], K.STATE_KEYS, 16).tolist() == []
 
     many = pd.concat([keys] * 3 + [
         pd.DataFrame({"subj": [f"s{i % 37}" for i in range(200)],
@@ -257,20 +259,28 @@ def test_triple_shard_routing_is_pinned():
         % 16
         for r in many[K.STATE_KEYS].itertuples(index=False)
     ]
-    assert K._triple_shards(many, 16).tolist() == ref
+    assert T.route(many, K.STATE_KEYS, 16).tolist() == ref
+
+    urls = pd.DataFrame({"url": [
+        "https://a.com/x", "https://example3.com/page/3", "https://h0.com/p",
+        "https://ünïcode.example/straße?q=1", "",
+        "https://example126.com/page/126",
+    ]})
+    assert T.route(urls, ["url"], 16).tolist() == [2, 14, 10, 1, 9, 1]
+    assert T.route(urls, ["url"], 7).tolist() == [3, 2, 4, 3, 4, 4]
 
 
 def test_commit_record_carries_the_merge_numbers(
     crawls, base_state, monkeypatch
 ):
     # no compaction, so every run the merge added stays live
-    monkeypatch.setattr(K, "MAX_RUNS", 10**6)
-    real = K._move_runs
+    monkeypatch.setattr(T, "MAX_RUNS", 10**6)
+    real = T._move_runs
 
     def split(store, staging, tag):
         # as if each shard's rows came from two write tasks (on a large
         # cluster, dozens): the merge must still add one run per shard
-        for rel in K._shard_file_paths(staging):
+        for rel in T._shard_file_paths(staging):
             path = os.path.join(staging, rel)
             t = pq.read_table(path, partitioning=None)
             half = t.num_rows // 2
@@ -278,10 +288,10 @@ def test_commit_record_carries_the_merge_numbers(
             pq.write_table(t.slice(half), path[:-8] + "-b.parquet")
         return real(store, staging, tag)
 
-    monkeypatch.setattr(K, "_move_runs", split)
+    monkeypatch.setattr(T, "_move_runs", split)
     upd = str(crawls["dir"] / "state_record")
     K.update_kg_state(base_state, crawls["delta"], upd)
-    rec = K._records(upd)[-1]
+    rec = T._records(upd)[-1]
     assert len(rec["adds"]) == len(rec["shards_touched"])
     reb = str(crawls["dir"] / "state_record_rebuild")
     K.build_kg_state(crawls["both"], reb)
@@ -310,9 +320,9 @@ def test_commit_record_carries_the_merge_numbers(
     assert set(rec["phase_s"]) == {"prepare", "execute", "commit"}
     # over the whole log, the recorded rows of the live runs are the
     # rows in the run files
-    live = K._live_runs(upd)
+    live = T._live_runs(upd)
     recorded = {}
-    for r in K._records(upd):
+    for r in T._records(upd):
         recorded.update(r["adds"])
     assert sum(recorded[p]["rows"] for p in live) == sum(
         pq.read_metadata(os.path.join(upd, p)).num_rows for p in live
@@ -332,20 +342,20 @@ def test_compaction_chain_in_place_equals_oracle(
 ):
     # ten 3-5-page deltas merged in place; a lower MAX_RUNS makes the
     # chain cross it several times
-    monkeypatch.setattr(K, "MAX_RUNS", 3)
+    monkeypatch.setattr(T, "MAX_RUNS", 3)
     d = crawls["dir"]
     state = str(d / "state_compaction_chain")
     shutil.copytree(base_state, state)
     ids, start = [], 700
-    seen = _file_bytes(state, K._live_runs(state))
+    seen = _file_bytes(state, T._live_runs(state))
     for i, n in enumerate([3, 4, 5, 3, 4, 5, 3, 4, 5, 4]):
         delta = str(d / f"chain_{i}.parquet")
         pq.write_table(generate_pages(list(range(start, start + n))), delta)
         ids += list(range(start, start + n))
         start += n
         K.update_kg_state(state, delta, state)
-        live = K._live_runs(state)
-        removed = {p for r in K._records(state) if r["kind"] == "compact"
+        live = T._live_runs(state)
+        removed = {p for r in T._records(state) if r["kind"] == "compact"
                    for p in r["removes"]}
         for rel, blob in seen.items():
             # a run stays byte-identical until a compaction replaces it
@@ -353,8 +363,8 @@ def test_compaction_chain_in_place_equals_oracle(
             if rel in live:
                 assert _file_bytes(state, [rel])[rel] == blob
         seen.update(_file_bytes(state, [p for p in live if p not in seen]))
-        assert max(map(len, K._runs_by_shard(live).values())) <= K.MAX_RUNS
-    compactions = [r for r in K._records(state) if r["kind"] == "compact"]
+        assert max(map(len, T._runs_by_shard(live).values())) <= T.MAX_RUNS
+    compactions = [r for r in T._records(state) if r["kind"] == "compact"]
     assert len(compactions) >= 2
 
     got = K.read_kg_state(state)
@@ -362,9 +372,9 @@ def test_compaction_chain_in_place_equals_oracle(
     pd.testing.assert_frame_equal(_normalized(got), _normalized(exp))
 
     assert K.compact_kg_state(state) == state
-    assert all(len(v) == 1 for v in K._runs_by_shard(
-        K._live_runs(state)).values())
-    assert K._shard_file_paths(state) == K._live_runs(state)
+    assert all(len(v) == 1 for v in T._runs_by_shard(
+        T._live_runs(state)).values())
+    assert T._shard_file_paths(state) == T._live_runs(state)
     pd.testing.assert_frame_equal(K.read_kg_state(state), got)
 
 
@@ -379,21 +389,21 @@ def test_compaction_rewrites_each_row_a_logarithmic_number_of_times():
         run = f"shard=0/run-{i:08d}-a.parquet"
         rows[run] = 10
         live.append(run)
-        group = K._fold_group(live, rows, K.MAX_RUNS)
+        group = T._fold_group(live, rows, T.MAX_RUNS)
         if group:
             assert len(group) >= 2
             folded = f"shard=0/run-{i:08d}-b.parquet"
             rows[folded] = sum(rows[r] for r in group)
             rewritten += rows[folded]
             live = [r for r in live if r not in group] + [folded]
-        assert len(live) <= K.MAX_RUNS
+        assert len(live) <= T.MAX_RUNS
     assert sum(rows[r] for r in live) == 2560
     assert rewritten <= 2560 * 8
     # a large base run is left alone until the runs beside it add up
     # to its size; compact_kg_state's cap of one folds every run
     runs = {"base": 1000, **{f"d{i}": 10 for i in range(9)}}
-    assert "base" not in K._fold_group(list(runs), runs, K.MAX_RUNS)
-    assert len(K._fold_group(list(runs), runs, 1)) == 10
+    assert "base" not in T._fold_group(list(runs), runs, T.MAX_RUNS)
+    assert len(T._fold_group(list(runs), runs, 1)) == 10
 
 
 def test_store_without_log_reads_every_file_and_merges(crawls, base_state):
@@ -402,12 +412,12 @@ def test_store_without_log_reads_every_file_and_merges(crawls, base_state):
     d = crawls["dir"]
     legacy = str(d / "state_legacy")
     shutil.copytree(base_state, legacy)
-    shutil.rmtree(os.path.join(legacy, K._LOG))
+    shutil.rmtree(os.path.join(legacy, T._LOG))
     pd.testing.assert_frame_equal(
         K.read_kg_state(legacy), K.read_kg_state(base_state)
     )
     K.update_kg_state(legacy, crawls["delta"], legacy)
-    assert K._records(legacy)[0]["kind"] == "adopt"
+    assert T._records(legacy)[0]["kind"] == "adopt"
     reb = str(d / "state_rebuild_legacy")
     K.build_kg_state(crawls["both"], reb)
     pd.testing.assert_frame_equal(K.read_kg_state(legacy), K.read_kg_state(reb))

@@ -1,4 +1,5 @@
-"""Crash safety of the log-structured triple store (pipelines/kg_state.py).
+"""Crash safety of the log-structured triple store (pipelines/kg_state.py
+on state/table.py).
 
 A merge is made to fail at each of its steps, in place and into a new
 directory. After the failure the store must read as the old state or
@@ -20,6 +21,7 @@ import pytest
 
 from finance_sc_relations_ray.pipelines import kg_state as K
 from finance_sc_relations_ray.sources.pages import generate_pages
+from finance_sc_relations_ray.state import table as T
 from oracle.kg_oracle import expected_triples
 
 
@@ -107,20 +109,20 @@ def _fail_compaction_commit(real_commit):
 # Into a new dir every failure leaves the old state: nothing is
 # published at out_dir before the final rename.
 STEPS = {
-    "staged": (lambda m: m.setattr(K, "_move_runs", _raise), "old"),
+    "staged": (lambda m: m.setattr(T, "_move_runs", _raise), "old"),
     "moved": (
-        lambda m: m.setattr(K, "_move_runs", _fail_after(K._move_runs)),
+        lambda m: m.setattr(T, "_move_runs", _fail_after(T._move_runs)),
         "old",
     ),
     "before_commit": (
         lambda m: m.setattr(os, "link", _fail_record_link(os.link)),
         "old",
     ),
-    "committed": (lambda m: m.setattr(K, "_compact", _raise), "new"),
+    "committed": (lambda m: m.setattr(T, "_compact", _raise), "new"),
     "compacting": (
         lambda m: (
-            m.setattr(K, "MAX_RUNS", 1),
-            m.setattr(K, "_commit", _fail_compaction_commit(K._commit)),
+            m.setattr(T, "MAX_RUNS", 1),
+            m.setattr(T, "_commit", _fail_compaction_commit(T._commit)),
         ),
         "new",
     ),
@@ -133,10 +135,10 @@ STEPS = {
 
 def _assert_clean(store):
     assert not os.path.exists(store + ".tmp")
-    assert not [n for n in os.listdir(store) if n.startswith(K._STAGING)]
-    assert not [n for n in os.listdir(os.path.join(store, K._LOG))
+    assert not [n for n in os.listdir(store) if n.startswith(T._STAGING)]
+    assert not [n for n in os.listdir(os.path.join(store, T._LOG))
                 if not n.endswith(".json")]
-    assert K._shard_file_paths(store) == K._live_runs(store)
+    assert T._shard_file_paths(store) == T._live_runs(store)
 
 
 @pytest.mark.parametrize("in_place", [True, False], ids=["in_place", "new_dir"])
@@ -192,8 +194,8 @@ def test_merge_into_existing_out_dir_is_refused(world, monkeypatch):
     def rmtree(path, *a, **kw):
         if os.path.abspath(path) != out:
             return real_rmtree(path, *a, **kw)
-        real_rmtree(os.path.join(path, K._LOG))
-        real_rmtree(os.path.join(path, K._shard_dirs(path)[0]))
+        real_rmtree(os.path.join(path, T._LOG))
+        real_rmtree(os.path.join(path, T._shard_dirs(path)[0]))
         raise Crash
 
     with monkeypatch.context() as m:
@@ -211,19 +213,19 @@ def test_merge_into_existing_out_dir_is_refused(world, monkeypatch):
 def test_racing_commit_is_refused(world, monkeypatch):
     store = str(world["dir"] / "race")
     shutil.copytree(world["base"], store)
-    files = K._shard_file_paths(store)
-    n_shards = pq.read_table(os.path.join(store, K._META))["n_shards"][0]
+    files = T._shard_file_paths(store)
+    n_shards = pq.read_table(os.path.join(store, T._META))["n_shards"][0]
     # the racing writer's run: the first state row again, in its shard
     row = world["old"].iloc[:1]
-    shard = int(K._triple_shards(row, n_shards.as_py())[0])
+    shard = int(T.route(row, K.STATE_KEYS, n_shards.as_py())[0])
     racer = {}
-    real = K._move_runs
+    real = T._move_runs
 
     def racing(store_, staging, tag):
         # another writer commits this seq, with a run of its own, while
         # our execution runs
-        seq = K._seq_of(tag)
-        rel = f"shard={shard}/run-{K._new_tag(seq)}.parquet"
+        seq = T._seq_of(tag)
+        rel = f"shard={shard}/run-{T._new_tag(seq)}.parquet"
         pq.write_table(
             pa.Table.from_pandas(row, schema=K._FILE_SCHEMA,
                                  preserve_index=False),
@@ -231,20 +233,20 @@ def test_racing_commit_is_refused(world, monkeypatch):
         )
         with open(os.path.join(store_, rel), "rb") as fh:
             racer[rel] = fh.read()
-        with open(os.path.join(store_, K._LOG, f"{seq:08d}.json"), "w") as f:
+        with open(os.path.join(store_, T._LOG, f"{seq:08d}.json"), "w") as f:
             json.dump({"seq": seq, "kind": "merge",
-                       "adds": {rel: K._run_info(store_, rel)},
+                       "adds": {rel: T._run_info(store_, rel)},
                        "removes": []}, f)
         return real(store_, staging, tag)
 
-    monkeypatch.setattr(K, "_move_runs", racing)
+    monkeypatch.setattr(T, "_move_runs", racing)
     with pytest.raises(FileExistsError):
         K.update_kg_state(store, world["paths"]["delta"], store)
     # the racer's commit stands, byte for byte; none of ours is visible
     [(rel, blob)] = racer.items()
     with open(os.path.join(store, rel), "rb") as fh:
         assert fh.read() == blob
-    assert K._shard_file_paths(store) == sorted(files + [rel])
+    assert T._shard_file_paths(store) == sorted(files + [rel])
     exp = world["old"].copy()
     exp.loc[0, "n_mentions"] *= 2
     pd.testing.assert_frame_equal(K.read_kg_state(store), exp)
@@ -256,10 +258,10 @@ def test_merge_keeps_the_files_of_a_merge_in_flight(world):
     # commits the seq before it must not delete them
     store = str(world["dir"] / "in_flight")
     shutil.copytree(world["base"], store)
-    seq = K._next_seq(store) + 1
-    run = K._live_runs(store)[0]
+    seq = T._next_seq(store) + 1
+    run = T._live_runs(store)[0]
     d = run.split("/")[0]
-    staged = os.path.join(store, f"{K._STAGING}{seq:08d}-other", d)
+    staged = os.path.join(store, f"{T._STAGING}{seq:08d}-other", d)
     os.makedirs(staged)
     pending = [os.path.join(staged, "part-0.parquet"),
                os.path.join(store, d, f"run-{seq:08d}-other.parquet")]

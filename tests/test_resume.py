@@ -14,6 +14,7 @@ from finance_sc_relations_ray.pipelines import kg_state as K
 from finance_sc_relations_ray.pipelines.kg import build_kg_pipeline
 from finance_sc_relations_ray.pipelines.run import merge_parts, run_partitioned
 from finance_sc_relations_ray.sources.pages import generate_pages
+from finance_sc_relations_ray.state import table as T
 
 
 class Crash(Exception):
@@ -181,7 +182,7 @@ def test_a_failed_chunk_commit_is_merged_by_the_rerun(
 ):
     pages_path = _inputs(tmp_path / "pages", page_files)
     out = str(tmp_path / "out")
-    real = K._commit
+    real = T._commit
     calls = []
 
     def commit(store, seq, tag, record):
@@ -192,17 +193,17 @@ def test_a_failed_chunk_commit_is_merged_by_the_rerun(
                 raise Crash
         return real(store, seq, tag, record)
 
-    monkeypatch.setattr(K, "_commit", commit)
+    monkeypatch.setattr(T, "_commit", commit)
     with pytest.raises(Crash):
         run_partitioned(pages_path, out, num_parts=8, parts_per_chunk=2)
     assert len(K.merge_records(out)) == 1
-    monkeypatch.setattr(K, "_commit", real)
+    monkeypatch.setattr(T, "_commit", real)
     r = run_partitioned(pages_path, out, num_parts=8, parts_per_chunk=2)
     assert r["files_read"] == 6 and r["parts_run"] == 6
     pd.testing.assert_frame_equal(_merged(out), _fresh(tmp_path, page_files, 8))
     named = _named_files(out)
     assert len(named) == len(set(named)) == 8
     # nothing the failed merge wrote is left behind
-    live = set(K._live_runs(out))
-    assert set(K._shard_file_paths(out)) == live
+    live = set(T._live_runs(out))
+    assert set(T._shard_file_paths(out)) == live
     assert not [n for n in os.listdir(out) if n.startswith("_staging-")]

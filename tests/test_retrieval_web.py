@@ -261,15 +261,15 @@ def test_url_state_update_equals_rebuild(tmp_path):
 
 def test_url_state_update_prunes_untouched_shards(tmp_path):
     """Shards the delta does not touch must carry forward at FILE
-    level: byte-identical files, proving they were copied — never
+    level: byte-identical files, proving they were hardlinked — never
     read, re-folded, or re-written."""
     import os
 
     from finance_sc_relations_ray.pipelines.web import (
-        _url_shards,
         build_url_state,
         update_url_state,
     )
+    from finance_sc_relations_ray.state.table import route
 
     n_shards = 8
     base_rows = [
@@ -285,7 +285,8 @@ def test_url_state_update_prunes_untouched_shards(tmp_path):
     d.mkdir()
     _write_pages(d / "pages.parquet",
                  [("https://h0.com/p", "2024-03-01", "re")])
-    touched = int(_url_shards(pd.Series(["https://h0.com/p"]), n_shards)[0])
+    touched = int(route(pd.DataFrame({"url": ["https://h0.com/p"]}), ["url"],
+                        n_shards)[0])
     merged = update_url_state(s_base, str(d / "pages.parquet"),
                               str(tmp_path / "s2"))
     for k in range(n_shards):
@@ -303,6 +304,101 @@ def test_url_state_update_prunes_untouched_shards(tmp_path):
                 os.path.join(md, f), "rb"
             ) as f2:
                 assert f1.read() == f2.read(), (k, f)
+
+
+def test_empty_url_state_reads_as_an_empty_frame(tmp_path):
+    """A state built from a crawl with no rows holds no run; reading it
+    gives an empty (url, n_dups, last_ts) frame (it used to raise: a
+    read of no parquet paths), and a delta merges into it."""
+    from finance_sc_relations_ray.pipelines.web import (
+        build_url_state,
+        read_url_state,
+        update_url_state,
+    )
+
+    empty = tmp_path / "empty.parquet"
+    _write_pages(empty, [])
+    s = build_url_state(str(empty), str(tmp_path / "s"), n_shards=4)
+    got = read_url_state(s)
+    assert len(got) == 0
+    assert list(got.columns) == ["url", "n_dups", "last_ts"]
+    delta = tmp_path / "delta.parquet"
+    _write_pages(delta, [("https://a.com/x", "2024-01-01", "a")])
+    merged = read_url_state(update_url_state(s, str(delta), str(tmp_path / "m")))
+    assert merged["url"].tolist() == ["https://a.com/x"]
+    assert merged["n_dups"].tolist() == [1]
+
+
+def test_url_state_written_before_the_log_merges(tmp_path):
+    """A state in the layout of the url-state code before the shared
+    table (write_parquet(partition_cols=["shard"]): Ray-named files, no
+    ``_log/``) is adopted by its first merge: the merge into a new
+    directory equals a rebuild and leaves the source byte-identical. A
+    compaction then deletes the adopted files it replaces, whatever
+    digits their names hold."""
+    from finance_sc_relations_ray.pipelines.web import (
+        URL_STATE,
+        build_url_state,
+        read_url_state,
+        update_url_state,
+    )
+    from finance_sc_relations_ray.state import table as T
+
+    base_rows = [(f"https://h{i}.com/p", f"2024-01-{1 + i % 9:02d}", f"t{i}")
+                 for i in range(30)]
+    delta_rows = [("http://www.h3.com/p/", "2024-03-01", "re"),
+                  ("https://new.com/q", "2024-03-02", "n")]
+    old = tmp_path / "old"
+    os.makedirs(old)
+    pq.write_table(pa.table({"n_shards": pa.array([4], pa.int64())}),
+                   str(old / "_meta.parquet"))
+    urls = [r[0] for r in base_rows]
+    state = pa.table({
+        "url": pa.array(urls, pa.string()),
+        "n_dups": pa.array([1] * len(urls), pa.int64()),
+        "last_ts": pa.array([pd.Timestamp(r[1]) for r in base_rows],
+                            pa.timestamp("us")),
+    })
+    shards = T.route(pd.DataFrame({"url": urls}), ["url"], 4)
+    for k in sorted(set(shards.tolist())):
+        os.makedirs(old / f"shard={k}")
+        pq.write_table(
+            state.filter(pa.array(shards == k)),
+            str(old / f"shard={k}"
+                / "4_d5312345678f4f92bfcf71bda08792b9_000000_000000-0.parquet"),
+        )
+
+    def tree(root):
+        out = {}
+        for d, _, files in os.walk(root):
+            for f in files:
+                with open(os.path.join(d, f), "rb") as fh:
+                    out[os.path.relpath(os.path.join(d, f), root)] = fh.read()
+        return out
+
+    before = tree(old)
+    b = tmp_path / "base.parquet"
+    d = tmp_path / "delta.parquet"
+    both = tmp_path / "both.parquet"
+    _write_pages(b, base_rows)
+    _write_pages(d, delta_rows)
+    _write_pages(both, base_rows + delta_rows)
+    merged = update_url_state(str(old), str(d), str(tmp_path / "merged"))
+    rebuilt = build_url_state(str(both), str(tmp_path / "rebuilt"), n_shards=4)
+    pd.testing.assert_frame_equal(read_url_state(merged),
+                                  read_url_state(rebuilt))
+    assert read_url_state(merged).set_index("url").loc[
+        "https://h3.com/p", "n_dups"] == 2
+    assert tree(old) == before
+    pd.testing.assert_frame_equal(
+        read_url_state(str(old)),
+        read_url_state(build_url_state(str(b), str(tmp_path / "b"),
+                                       n_shards=4)),
+    )
+    got = read_url_state(merged)
+    T.compact(URL_STATE, merged)
+    assert T._shard_file_paths(merged) == T._live_runs(merged)
+    pd.testing.assert_frame_equal(read_url_state(merged), got)
 
 
 def test_url_state_into_existing_out_dir_is_refused(tmp_path, monkeypatch):

@@ -9,13 +9,7 @@ from finance_sc_relations_ray.functions.tagging import (
     extract_tagged_names,
     inverse_relations,
     mutate_sent,
-    word_search,
 )
-
-
-def test_word_search_case_insensitive_spans():
-    assert word_search("apple", "Apple and APPLE") == [(0, 5), (10, 15)]
-    assert word_search(None, "x") == []
 
 
 def test_entity_annotation_basic():
