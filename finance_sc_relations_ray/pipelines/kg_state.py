@@ -6,8 +6,8 @@ re-deduplicated. The store is a log-structured table (state/table.py:
 layout, commit log, crash safety, racing writers, compaction) keyed
 by the triple:
 
-- the fold is the payload merge of the in-pipeline dedup
-  (stages/shuffle.py module docstring: score max, n_mentions sum, ids
+- the fold is the in-pipeline dedup's Arrow kernel
+  (stages/shuffle.partial_dedup_batch: score max, n_mentions sum, ids
   min-non-null, witness url min, sentence_ids bottom-64 union). It is
   associative and commutative, including the sentence_ids cap, which
   keeps the 64 SMALLEST ids (the bottom-64 of a union equals the
@@ -80,10 +80,10 @@ _FILE_SCHEMA = pa.schema([STATE_SCHEMA.field(c) for c in STATE_COLS])
 
 def _fold_triples(rows: pa.Table) -> pa.Table:
     """The triple table's fold: the in-pipeline dedup kernel, one row
-    per triple."""
-    from ..stages.shuffle import _merge_bucket
+    per triple, sorted by triple."""
+    from ..stages.shuffle import partial_dedup_batch
 
-    return _merge_bucket(rows, STATE_KEYS)
+    return partial_dedup_batch(rows, STATE_KEYS)
 
 
 TRIPLES = T.Spec(STATE_KEYS, _FILE_SCHEMA, _fold_triples)

@@ -27,9 +27,10 @@ reference src/relation_extraction/reporter.py:39-73 — ``sentenceIds``,
   (bounded: a mega-triple mentioned on 10^9 pages must not grow an
   unbounded list; ``n_mentions`` keeps the true count)
 
-Payload columns are merged only if present, so the same helper serves
-the triple store's fold (extra ``shard`` key) and bare (subj,pred,obj)
-dedup.
+Payload columns are merged only if present, so the same fold serves
+the build's dedup, a store merge's combiner, the triple store's run
+fold and bare (subj,pred,obj) dedup. It is one Arrow kernel
+(:func:`partial_dedup_batch`); its output is sorted by key.
 """
 
 from __future__ import annotations
@@ -68,156 +69,101 @@ _PAYLOAD_TYPES = {
 }
 
 
-def _min_nonnull(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-def _merge_frame(df: "pd.DataFrame", keys: list[str]) -> "pd.DataFrame":
-    """Collapse a pandas frame to ONE row per key with merged payload —
-    the shared VECTORIZED kernel behind both the per-batch combiner and
-    the bucket merge (r3 verdict #4: the per-key Python loop / per-group
-    pandas lambdas were ~20 s single-threaded at the 20k-page bench;
-    this kernel is ~0.5 s on the same input). All aggregations run as
-    cython groupbys over an integer group id:
-
-    - group id: per-key ``pd.factorize`` (hash-based), combined
-      pairwise with re-factorize after each combine so the mixed code
-      stays < n_rows (no int64 overflow for any key count);
-    - ``score`` max / ``n_mentions`` sum: numeric cython groupby;
-    - ``subj_id``/``obj_id``/``url`` min-non-null: ``factorize(sort=
-      True)`` maps strings to lexicographically-ordered codes, nulls
-      to a +inf sentinel — the code MIN is then the lexicographic min
-      over non-null, all-null groups keep the sentinel → None;
-    - ``sentence_ids`` sorted-distinct union (capped): explode to
-      (gid, sid) pairs via np.repeat, lexsort, adjacent-dedup, split
-      at group boundaries — per-element work is all numpy.
-
-    Output: one row per key, columns ``keys + payload + n_mentions``,
-    ``sentence_ids`` cells as plain Python lists (Ray re-encodes numpy
-    cells as ragged tensors), row order = first occurrence per key."""
-    import numpy as np
-    import pandas as pd
-
-    present = [c for c in _PAYLOAD if c in df.columns]
-    out_names = [c for c in present if c != "n_mentions"]
-    cols_order = keys + out_names + ["n_mentions"]
-    if len(df) == 0:
-        out = df.head(0).copy()
-        if "n_mentions" not in out.columns:
-            out["n_mentions"] = pd.Series([], dtype="int64")
-        return out[cols_order]
-
-    gid = pd.factorize(df[keys[0]].to_numpy())[0].astype(np.int64)
-    for k in keys[1:]:
-        codes = pd.factorize(df[k].to_numpy())[0].astype(np.int64)
-        gid = pd.factorize(gid * (codes.max() + 1) + codes)[0].astype(
-            np.int64
-        )
-    ngroups = int(gid.max()) + 1
-    first_idx = np.zeros(ngroups, dtype=np.int64)
-    # reversed: earlier rows overwrite later → first occurrence wins
-    first_idx[gid[::-1]] = np.arange(len(gid) - 1, -1, -1)
-
-    out: dict[str, "np.ndarray | list"] = {
-        k: df[k].to_numpy()[first_idx] for k in keys
-    }
-    if "score" in present:
-        out["score"] = (
-            df["score"].groupby(gid).max().to_numpy()
-        )
-    for c in ("subj_id", "obj_id", "url"):
-        if c in present:
-            codes, uniq = pd.factorize(df[c].to_numpy(), sort=True)
-            codes = codes.astype(np.int64)
-            codes[codes < 0] = len(uniq)  # null → +inf sentinel
-            mn = (
-                pd.Series(codes).groupby(gid).min().to_numpy()
-            )
-            vals = np.empty(ngroups, dtype=object)
-            hit = mn < len(uniq)
-            vals[hit] = np.asarray(uniq, dtype=object)[mn[hit]]
-            vals[~hit] = None
-            out[c] = vals
-    if "sentence_ids" in present:
-        cells = df["sentence_ids"].to_numpy()
-        lens = np.fromiter(
-            (0 if c is None else len(c) for c in cells),
-            dtype=np.int64,
-            count=len(cells),
-        )
-        nonempty = [
-            np.asarray(c, dtype=np.int64)
-            for c in cells
-            if c is not None and len(c)
-        ]
-        flat = (
-            np.concatenate(nonempty)
-            if nonempty
-            else np.zeros(0, dtype=np.int64)
-        )
-        grep = np.repeat(gid, lens)
-        o = np.lexsort((flat, grep))
-        g2, s2 = grep[o], flat[o]
-        if len(g2):
-            keep = np.ones(len(g2), dtype=bool)
-            keep[1:] = (g2[1:] != g2[:-1]) | (s2[1:] != s2[:-1])
-            g2, s2 = g2[keep], s2[keep]
-        lists: list[list[int]] = [[] for _ in range(ngroups)]
-        if len(g2):
-            bounds = np.flatnonzero(g2[1:] != g2[:-1]) + 1
-            starts = np.concatenate(([0], bounds))
-            for gi, chunk in zip(
-                g2[starts], np.split(s2, bounds)
-            ):
-                lists[gi] = chunk[:SENTENCE_IDS_CAP].tolist()
-        out["sentence_ids"] = lists
-    if "n_mentions" in present:
-        out["n_mentions"] = (
-            df["n_mentions"].groupby(gid).sum().to_numpy()
-        )
-    else:
-        out["n_mentions"] = np.bincount(gid, minlength=ngroups).astype(
-            np.int64
-        )
-    res = pd.DataFrame(out)
-    # first-occurrence row order (matches the old dict-insertion order)
-    order = np.argsort(first_idx, kind="stable")
-    return res.iloc[order].reset_index(drop=True)[cols_order]
-
-
 def partial_dedup_batch(batch: pa.Table, keys: list[str]) -> pa.Table:
-    """Per-batch combiner: one row per key with merged payload
-    (vectorized via :func:`_merge_frame`)."""
+    """Collapse ``batch`` to ONE row per key with the merged payload,
+    sorted by key: columns ``keys + payload + n_mentions``, the payload
+    cast to ``_PAYLOAD_TYPES`` first. A missing ``n_mentions`` counts
+    rows.
+
+    Sort once by the keys; a row whose keys differ from the previous
+    row's starts a group (null keys group together). One Arrow
+    ``group_by`` over the group id folds score, the ids, url and
+    n_mentions; the sentence_ids union is a numpy sort of the
+    (group, id) pairs of the flattened lists, deduplicated, each group
+    cut at ``SENTENCE_IDS_CAP``."""
+    import numpy as np
+    import pyarrow.compute as pc
+
     present = [c for c in _PAYLOAD if c in batch.column_names]
-    out = _merge_frame(batch.select(keys + present).to_pandas(), keys)
-    out_names = [c for c in present if c != "n_mentions"]
-    key_types = {k: batch.schema.field(k).type for k in keys}
-    arrays = {k: pa.array(out[k], type=key_types[k]) for k in keys}
-    for c in out_names:
-        arrays[c] = pa.array(out[c], type=_PAYLOAD_TYPES[c])
-    arrays["n_mentions"] = pa.array(out["n_mentions"], type=pa.int64())
-    return pa.table(arrays)
+    t = batch.select(keys + present)
+    t = t.cast(
+        pa.schema(
+            [t.schema.field(k) for k in keys]
+            + [pa.field(c, _PAYLOAD_TYPES[c]) for c in present]
+        )
+    )
+    t = t.take(pc.sort_indices(t, [(k, "ascending") for k in keys]))
+    n = t.num_rows
+    starts = np.ones(n, dtype=bool)
+    if n:
+        starts[1:] = False
+        for k in keys:
+            a, b = t[k].slice(1), t[k].slice(0, n - 1)
+            differ = pc.fill_null(
+                pc.not_equal(a, b), pc.xor(pc.is_null(a), pc.is_null(b))
+            )
+            starts[1:] |= differ.to_numpy()
+    gid = np.cumsum(starts) - 1
+    ngroups = int(starts.sum())
+
+    aggs = {
+        c: (c, "max" if c == "score" else "min")
+        for c in present
+        if c not in ("n_mentions", "sentence_ids")
+    }
+    aggs["n_mentions"] = (
+        ("n_mentions", "sum", pc.ScalarAggregateOptions(min_count=0))
+        if "n_mentions" in present
+        else ([], "count_all")
+    )
+    folded = (
+        t.append_column("__g", pa.array(gid, pa.int64()))
+        .group_by("__g", use_threads=False)
+        .aggregate(list(aggs.values()))
+    )
+    folded = dict(zip(aggs, folded.drop_columns(["__g"]).columns))
+    if "sentence_ids" in present:
+        folded["sentence_ids"] = _bottom_union(
+            t["sentence_ids"].combine_chunks(), gid, ngroups
+        )
+
+    out = t.select(keys).take(np.flatnonzero(starts))
+    for c in [c for c in present if c != "n_mentions"] + ["n_mentions"]:
+        out = out.append_column(c, folded[c])
+    return out
 
 
-def _merge_bucket(t: pa.Table, keys: list[str]) -> pa.Table:
-    """Within-bucket merge: the per-batch combiner over the whole bucket
-    (:func:`partial_dedup_batch`, the shared vectorized kernel) plus a
-    deterministic key sort. Every merge of the package runs through it:
-    the exchange's bucket merge and the triple store's run fold. A
-    pandas frame (perfbench's replay passes one) is converted first.
-    History: the per-KEY map_groups variant paid
-    Arrow-table-construction overhead once per key (29 s UDF for 74.5k
-    keys at the 20k-page bench); its bucketed replacement still ran
-    per-group pandas LAMBDAS on multi-row keys (~20 s single-threaded
-    on a read-back where every key repeated across parts); the kernel
-    is all cython groupbys (~0.5 s same input)."""
+def _bottom_union(
+    lists: pa.ListArray, gid: "np.ndarray", ngroups: int
+) -> pa.ListArray:
+    """Per group of rows (``gid``, nondecreasing): the sorted distinct
+    ids of its lists, the ``SENTENCE_IDS_CAP`` smallest. Null and empty
+    cells contribute nothing; a group with no id gets ``[]``."""
+    import numpy as np
+    import pyarrow.compute as pc
+
+    g = gid[pc.list_parent_indices(lists).to_numpy()]
+    s = pc.list_flatten(lists).to_numpy()
+    o = np.lexsort((s, g))
+    g, s = g[o], s[o]
+    keep = np.ones(len(g), dtype=bool)
+    keep[1:] = (g[1:] != g[:-1]) | (s[1:] != s[:-1])
+    g, s = g[keep], s[keep]
+    first = np.searchsorted(g, np.arange(ngroups))
+    keep = np.arange(len(g)) - first[g] < SENTENCE_IDS_CAP
+    g, s = g[keep], s[keep]
+    offsets = np.searchsorted(g, np.arange(ngroups + 1))
+    return pa.ListArray.from_arrays(
+        pa.array(offsets, pa.int32()), pa.array(s, pa.int64())
+    )
+
+
+def _merge_bucket(t: "pa.Table | pd.DataFrame", keys: list[str]) -> pa.Table:
+    """:func:`partial_dedup_batch` over a table or a pandas frame
+    (perfbench's replay passes one), converted first."""
     if not isinstance(t, pa.Table):
         t = pa.Table.from_pandas(t, preserve_index=False)
-    return partial_dedup_batch(t, keys).sort_by([(k, "ascending") for k in keys])
+    return partial_dedup_batch(t, keys)
 
 
 def salted_dedup(
@@ -229,7 +175,7 @@ def salted_dedup(
     regardless of key skew. The exchange sorts on a ``hash(key) % B``
     coarse bucket (NOT the key itself) and each sorted block, which
     holds whole buckets, is merged with one vectorized aggregation
-    (:func:`_merge_bucket`); the merge is associative+commutative, so
+    (:func:`partial_dedup_batch`); the merge is associative+commutative, so
     combiner-then-merge equals a single global pass.
 
     ``num_buckets`` defaults to the cluster-derived
@@ -259,7 +205,7 @@ def salted_dedup(
         return batch.append_column("__dbucket", pa.array(hb, pa.int32()))
 
     def merge(block: pa.Table) -> pa.Table:
-        return _merge_bucket(block.drop_columns(["__dbucket"]), keys)
+        return partial_dedup_batch(block.drop_columns(["__dbucket"]), keys)
 
     # The sort range-partitions on the bucket, so a bucket never spans
     # blocks and one merge per sorted block (batch_size=None: the whole

@@ -4,9 +4,11 @@ Per-doc verdicts → canonical ``(subj, supplies_to, obj)`` triples
 (direction per resort_relation semantics,
 reference src/labels_generator/utils.py:54-59: supplier-label → company
 supplies reporter; customer-label → reporter supplies company; "other"
-verdicts emit no triple). Dedup on (subj, pred, obj) keeps max score and
-counts mentions, via the salted two-phase combiner in
-stages/shuffle.py.
+verdicts emit no triple). The rows are deduplicated on (subj, pred,
+obj) downstream by the Arrow fold of stages/shuffle.py (score max,
+n_mentions sum, ids and url min, sentence_ids bottom-64 union): per
+batch and per bucket in the build's salted two-phase dedup, per batch
+and per run in the triple store.
 """
 
 from __future__ import annotations
