@@ -207,16 +207,13 @@ def main(argv: list[str] | None = None) -> int:
 
     DataContext.get_current().enable_progress_bars = False
 
-    from .config import scaled_config
     from .pipelines.run import merge_parts, run_partitioned
 
-    ncpu = int(ray.cluster_resources().get("CPU", 8))
     summary = run_partitioned(
         args.pages,
         args.out,
         num_parts=args.num_parts,
         parts_per_chunk=args.parts_per_chunk,
-        config=scaled_config(ncpu),
     )
     if args.merge:
         merged = merge_parts(args.out)

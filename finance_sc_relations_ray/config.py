@@ -52,21 +52,10 @@ class KGConfig:
     # reads positions, not names); flip on when a learned model scores.
     mutate_before_scoring: bool = False
 
-    # execution sizing of the actor-pool stages — alias extraction
-    # (ner_*), its link actor (link_*) and training data (ner_*) —
-    # as autoscaling pools (min, max), so a stage never deadlocks a
-    # small cluster nor starves the others (SURVEY.md §4). The page
-    # stage of build_kg_pipeline runs as Ray tasks and reads none of
-    # these.
-    ner_batch_size: int = 256
+    # read by nothing: every model stage runs as page-local Ray tasks,
+    # one per cluster CPU (pipelines/kg.read_pages). The field stays
+    # only while perfbench/workloads.make_config passes it.
     ner_concurrency: tuple[int, int] = (1, 8)
-    link_batch_size: int = 4096
-    link_concurrency: tuple[int, int] = (1, 2)
-    # fractional CPU per actor of those pools: keeps the sum of
-    # actor-pool minimums below the node's CPU count so task-pool
-    # operators (read, shuffle, write) are never starved — a real GPU
-    # model would set num_gpus instead and this stays small
-    actor_num_cpus: float = 0.5
     # NER backend (M2/M2'): "gazetteer" (fixed-list longest match) or
     # "heuristic" (capitalized-run + corp-suffix — recognizes unseen
     # names); real spaCy/HF models register in stages/ner.make_tagger
@@ -77,25 +66,13 @@ class KGConfig:
     re_backend: str = "rule"
     # GPU fraction per model worker: 0 on CPU stubs; a real GPU model
     # sets e.g. 0.25 to pack 4 workers per device (the reference runs
-    # NER/RE on GPU instances, spacy_loader.py require_gpu). Plumbed
-    # into the actor pools via actor_resources() and into the page
-    # stage's tasks as num_gpus.
+    # NER/RE on GPU instances, spacy_loader.py require_gpu). Requested
+    # as num_gpus by every model stage's tasks (pipelines/kg.map_pages).
     actor_num_gpus: float = 0.0
     # bench realism: extend the stub gazetteer with this many synthetic
     # entities so the entity space (and therefore the dedup exchange)
     # grows with the input instead of saturating (gazetteer.py)
     extra_entities: int = 0
-
-
-def actor_resources(config: "KGConfig") -> dict:
-    """Per-actor resource kwargs for the model-stage ``map_batches``
-    calls: the fractional CPU reservation always; ``num_gpus`` only
-    when configured (passing num_gpus=0 would still register a GPU
-    requirement with the scheduler)."""
-    kw: dict = {"num_cpus": config.actor_num_cpus}
-    if config.actor_num_gpus:
-        kw["num_gpus"] = config.actor_num_gpus
-    return kw
 
 
 def exchange_fanout(num_buckets: int | None = None, floor: int = 64) -> int:
@@ -136,27 +113,3 @@ def exchange_fanout(num_buckets: int | None = None, floor: int = 64) -> int:
 INVERSE_RELATION = {"supplier": "customer", "customer": "supplier", "other": "other"}
 
 DEFAULT_CONFIG = KGConfig()
-
-
-def scaled_config(num_cpus: int) -> KGConfig:
-    """Size the actor pools to a node's CPU count: the alias-extraction
-    and training-data pools (``ner_concurrency``) to ~80% of the CPUs,
-    the light link pool to a fraction, with fractional CPU reservations
-    keeping headroom for the task-pool stages. Nothing here sizes the
-    page stage: it runs inside the page read's tasks, one per cluster
-    CPU (``pipelines.kg.read_pages``), and every plan holding it turns
-    off Ray Data's per-operator reservation, so those tasks can use
-    every CPU (``pipelines.kg.linked_docs_dataset``)."""
-    # FIXED pool sizes (an int, not an autoscaling tuple): Ray Data's
-    # autoscaling pool ramps up too slowly for short CPU-bound jobs —
-    # measured load average stuck at ~5 of 32 cores with (1, 32).
-    # Fractional num_cpus (0.5) keeps reservations at half the cores so
-    # read/shuffle task operators never starve.
-    # the ner pool takes ~80% of the cluster's CPUs at EVERY size; the
-    # remainder is headroom for the link pool, read tasks and the
-    # object store — an oversubscribed pool (pool == all CPUs) measured
-    # ~30% slower at 32 CPUs
-    return KGConfig(
-        ner_concurrency=max(4, int(num_cpus * 0.8)),
-        link_concurrency=max(2, num_cpus // 8),
-    )

@@ -23,10 +23,11 @@ footers, so no split operator sits between), with ``to_triples`` and
 with the dedup combiner. The composable stage classes (stages/ner.py,
 stages/scoring.py, stages/doc_agg.py, stages/link.py) are what
 ``oracle/kg_oracle.py`` composes, and tests/test_pipeline_e2e.py holds
-the pipeline equal to it.
+the pipeline equal to it. Alias items (:func:`alias_items_dataset`) are
+the same page read fused with one page-local stage, and no exchange.
 
-Every plan holding the page stage runs without Ray Data's per-operator
-reservation (why: :func:`linked_docs_dataset`).
+Every plan holding a page-local stage runs without Ray Data's per-operator
+reservation (why: :func:`map_pages`).
 
 Ray is never initialised here (driver / bench / tests own the session).
 """
@@ -41,10 +42,9 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from ..config import actor_resources, DEFAULT_CONFIG, KGConfig
+from ..config import DEFAULT_CONFIG, KGConfig
 from ..gazetteer import company_db_table
 from ..sources.page_read import PageRowsDatasource, parquet_files
-from ..stages import extract
 from ..stages.shuffle import partial_dedup_batch, salted_dedup
 from ..stages.triples import TRIPLES_SCHEMA, to_triples_batch
 
@@ -96,42 +96,18 @@ def read_pages(
     )
 
 
-def read_page_columns(
-    path: str, read_blocks: int | None = None
-) -> "ray.data.Dataset":
-    """``read_parquet`` of the page columns, for the plans that feed an
-    actor pool rather than the page stage (alias items, training data):
-    Ray's own block sizing, or ``read_blocks`` blocks."""
-    kw = {"override_num_blocks": read_blocks} if read_blocks else {}
-    return ray.data.read_parquet(path, columns=["url", "html", "lang"], **kw)
+def map_pages(pages: "ray.data.Dataset", fn, config: KGConfig) -> "ray.data.Dataset":
+    """``fn``, a cheap picklable page-stage instance, mapped over the
+    page rows of :func:`read_pages`: the page stage, the alias-item
+    stage and the training-data stage all run through here.
 
-
-def sentences_dataset(pages: "ray.data.Dataset") -> "ray.data.Dataset":
-    return (
-        pages.map_batches(extract.filter_english, batch_format="pyarrow")
-        .map_batches(extract.extract_batch, batch_format="pyarrow")
-        .map_batches(extract.sentencize_batch, batch_format="pyarrow")
-    )
-
-
-def linked_docs_dataset(
-    pages: "ray.data.Dataset",
-    config: KGConfig = DEFAULT_CONFIG,
-    company_db: pa.Table | None = None,
-    db_ref=None,
-) -> "ray.data.Dataset":
-    """Page rows (url, html, lang) → linked
-    per-document verdict rows, through one ``PageKGActor`` stage run as
-    Ray tasks. The company DB is broadcast once via ``ray.put`` (pass
-    ``db_ref`` to reuse a ref across executions) and linked inline.
-
-    The stage is a ``PageKGActor`` instance, not the class, so Ray Data
-    runs it on its task pool: task workers keep the models in a
-    per-process cache across executions. It takes whole blocks
+    ``fn`` is an instance, not a class, so Ray Data runs it on its task
+    pool: task workers keep the models in a per-process cache across
+    executions (``stages.fused.page_models``). It takes whole blocks
     (``batch_size=None``), so it fuses with the page read in front of it
-    (:func:`read_pages`) and the stateless maps behind it. ``num_gpus``
-    (and a batch size, which Ray requires with it) is requested only
-    when ``config.actor_num_gpus`` is set.
+    and the stateless maps behind it. ``num_gpus`` (and a batch size,
+    which Ray requires with it) is requested only when
+    ``config.actor_num_gpus`` is set.
 
     The plan runs without Ray Data's per-operator reservation. The
     setting goes on ``pages.context``, which the whole lineage shares (a
@@ -151,22 +127,34 @@ def linked_docs_dataset(
     blocks). In Ray 2.49 the
     reservation is also the only object-store backpressure, but a fused
     page read puts no page bytes into the object store: each task reads
-    its row groups one at a time and emits doc rows."""
-    from ..stages.fused import PageKGActor
-
-    if db_ref is None:
-        db_ref = ray.put(
-            company_db if company_db is not None else company_db_table()
-        )
+    its row groups one at a time and emits its output rows."""
     pages.context.op_resource_reservation_enabled = False
     kw = (
         {"num_gpus": config.actor_num_gpus, "batch_size": 64}
         if config.actor_num_gpus
         else {"batch_size": None}
     )
-    return pages.map_batches(
-        PageKGActor(config, db_ref=db_ref), batch_format="pyarrow", **kw
-    )
+    return pages.map_batches(fn, batch_format="pyarrow", **kw)
+
+
+def linked_docs_dataset(
+    pages: "ray.data.Dataset",
+    config: KGConfig = DEFAULT_CONFIG,
+    company_db: pa.Table | None = None,
+    db_ref=None,
+) -> "ray.data.Dataset":
+    """Page rows (url, html, lang) → linked per-document verdict rows,
+    through one ``PageKGActor`` stage run as Ray tasks
+    (:func:`map_pages`). The company DB is broadcast once via
+    ``ray.put`` (pass ``db_ref`` to reuse a ref across executions) and
+    linked inline."""
+    from ..stages.fused import PageKGActor
+
+    if db_ref is None:
+        db_ref = ray.put(
+            company_db if company_db is not None else company_db_table()
+        )
+    return map_pages(pages, PageKGActor(config, db_ref=db_ref), config)
 
 
 def _with_columns(
@@ -200,52 +188,64 @@ def triples_dataset(
     )
 
 
-class AliasExtractActor:
-    """Alias-detection stage state (tagger) loaded ONCE per actor in
-    ``__init__`` — the same load-once contract as every other model
-    stage (r4 verdict #2: the old form built the page stage's models
-    on the DRIVER and pickled them into a map-fn default argument, which
-    with real weights would ship the models inside the function blob
-    and bypass the contract the backend suite proves). Per batch:
-    tag each sentence, enumerate alias candidates next to tagged
-    entities, keep pairs passing the similarity filter (reference
-    reporter.py:347-385 alias-item semantics)."""
+ALIAS_COLS = ("url", "target", "alias", "entity_id", "item_key", "sort_key")
 
-    def __init__(self, config: KGConfig = DEFAULT_CONFIG):
-        from ..functions.grouping import detect_alias_candidates, filter_aliases
-        from ..functions.names import similarity
-        from ..stages.ner import make_tagger
 
+class PageAliasItems:
+    """Alias-item stage UDF: (url, html, lang) page rows → one linked
+    alias item per distinct (target, alias) pair of each English page
+    row (reference reporter.py:347-385 alias-item semantics).
+
+    Per slice of ``fused.SLICE_PAGES`` pages: every sentence of a page
+    (``fused.page_sentences``: all of them, as the SC gate is for
+    relations, not aliases); one ``spans_batch`` call tags the
+    slice; each sentence's alias candidates next to its entities are
+    kept by the alias filter (``fused.sentence_aliases``); a page's
+    sorted distinct pairs are linked by target. The models come from
+    the page stage's per-process cache, under its key, and the linker
+    from ``fused._linker``.
+
+    The within-document dedup is local to a page row. A url held by two
+    page rows gives its items once per row; ``write_kv_items`` puts
+    them under the same keys, so the repeat is an idempotent re-put.
+
+    An instance holds only ``(config, db_ref)``, like ``PageKGActor``.
+    """
+
+    def __init__(self, config: KGConfig, db_ref):
         self.config = config
-        self.tagger = make_tagger(config)
-        self._detect = detect_alias_candidates
-        self._filter = filter_aliases
-        self._sim = similarity
+        self.db_ref = db_ref
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        urls, targets, aliases = [], [], []
-        for url, sent in zip(
-            batch["url"].to_pylist(), batch["sent"].to_pylist()
-        ):
-            spans = self.tagger.spans(sent)
-            if not spans:
-                continue
-            ents = sorted({sp["text"] for sp in spans})
-            for t, a in self._filter(
-                self._detect(sent, ents),
-                self._sim,
-                self.config.alias_sim_threshold,
-            ):
-                urls.append(url)
-                targets.append(t)
-                aliases.append(a)
-        return pa.table(
-            {
-                "url": pa.array(urls, pa.string()),
-                "target": pa.array(targets, pa.string()),
-                "alias": pa.array(aliases, pa.string()),
-            }
-        )
+        from ..stages import fused
+        from ..stages.backends import spans_batch
+
+        models = fused.page_models(self.config)
+        linker = fused._linker(self.db_ref, self.config)
+        out = {n: [] for n in ALIAS_COLS}
+        pages = fused.english_pages(batch)
+        for lo in range(0, len(pages), fused.SLICE_PAGES):
+            part = pages[lo:lo + fused.SLICE_PAGES]
+            sents = [fused.page_sentences(html) for _, html in part]
+            flat = [s for ps in sents for s in ps]
+            spans = spans_batch(models.tagger, flat) if flat else []
+            pos = 0
+            for (url, _), ps in zip(part, sents):
+                pairs = set()
+                for sent, sp in zip(ps, spans[pos:pos + len(ps)]):
+                    if sp:
+                        ents = sorted({x["text"] for x in sp})
+                        pairs.update(fused.sentence_aliases(sent, ents, self.config))
+                pos += len(ps)
+                for target, alias in sorted(pairs):
+                    eid, _, _ = linker.link(target)
+                    out["url"].append(url)
+                    out["target"].append(target)
+                    out["alias"].append(alias)
+                    out["entity_id"].append(eid)
+                    out["item_key"].append(f"alias#{eid if eid else 'unlinked'}#{alias}")
+                    out["sort_key"].append(f"url#{url}#{alias}")
+        return pa.table({n: pa.array(out[n], pa.string()) for n in ALIAS_COLS})
 
 
 def alias_items_dataset(
@@ -266,70 +266,14 @@ def alias_items_dataset(
     Common-Crawl pages don't have); we key by the alias target's linked
     entity id, which is the canonical-entity attachment a KG consumer
     needs. Unlinked targets keep a null entity_id and an
-    ``alias#unlinked#...`` key."""
-    pages = read_page_columns(pages_path, read_blocks)
-    sentences = sentences_dataset(pages)
+    ``alias#unlinked#...`` key.
 
-    ds = sentences.map_batches(
-        AliasExtractActor,
-        fn_constructor_kwargs={"config": config},
-        batch_format="pyarrow",
-        batch_size=config.ner_batch_size,
-        concurrency=config.ner_concurrency,
-        **actor_resources(config),
-    )
-    # within-url dedup via the combiner pattern
-    def combine(batch: pa.Table) -> pa.Table:
-        seen = sorted(
-            {(u, t, a) for u, t, a in zip(
-                batch["url"].to_pylist(),
-                batch["target"].to_pylist(),
-                batch["alias"].to_pylist(),
-            )}
-        )
-        return pa.table(
-            {
-                "url": pa.array([x[0] for x in seen], pa.string()),
-                "target": pa.array([x[1] for x in seen], pa.string()),
-                "alias": pa.array([x[2] for x in seen], pa.string()),
-            }
-        )
-
-    deduped = ds.map_batches(combine, batch_format="pyarrow").groupby(
-        ["url", "target", "alias"]
-    ).count().select_columns(["url", "target", "alias"])
-
+    One page-local task stage (:class:`PageAliasItems`) fused with the
+    page read: one Ray Data execution with no exchange.
+    ``read_blocks`` is the number of page tasks (:func:`read_pages`)."""
     db_ref = ray.put(company_db if company_db is not None else company_db_table())
-
-    class LinkAliasActor:
-        def __init__(self):
-            from ..stages.link import Linker
-
-            self.linker = Linker(ray.get(db_ref), config)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            eids, keys, sks = [], [], []
-            for url, target, alias in zip(
-                batch["url"].to_pylist(),
-                batch["target"].to_pylist(),
-                batch["alias"].to_pylist(),
-            ):
-                eid, _, _ = self.linker.link(target)
-                eids.append(eid)
-                keys.append(f"alias#{eid if eid else 'unlinked'}#{alias}")
-                sks.append(f"url#{url}#{alias}")
-            return (
-                batch.append_column("entity_id", pa.array(eids, pa.string()))
-                .append_column("item_key", pa.array(keys, pa.string()))
-                .append_column("sort_key", pa.array(sks, pa.string()))
-            )
-
-    return deduped.map_batches(
-        LinkAliasActor,
-        batch_format="pyarrow",
-        batch_size=config.link_batch_size,
-        concurrency=config.link_concurrency,
-        **actor_resources(config),
+    return map_pages(
+        read_pages(pages_path, read_blocks), PageAliasItems(config, db_ref), config
     )
 
 
@@ -572,9 +516,9 @@ def pages_with_alias_sentences_parquet_for(sf_dir: str) -> str:
     — so alias DETECTION (M3), FILTERING (M4) and LINKING (J2/S12) all
     sit under the driver's hard hash signal: the oracle replays the
     formula with the pair pool (and each pair's company-DB rgid) as
-    literals. The builder VERIFIES the plant: every distinct
-    (pair, other) combination is run through the real actor once and
-    must yield exactly its (full, abbr) row."""
+    literals. The builder VERIFIES the plant: a page of every distinct
+    (pair, other) combination is run through the real alias-item stage
+    once and must yield exactly its (full, abbr) row."""
     import pyarrow.dataset as pads
 
     from ..sources.pages import _DEFAULT_FULL_NAMES, pages_parquet_for
@@ -595,18 +539,22 @@ def pages_with_alias_sentences_parquet_for(sf_dir: str) -> str:
     pi = doc_id % len(pairs)
     oi = (doc_id * 11 + 5) % len(pool)
 
-    # verify every distinct (pair, other) combo through the REAL actor
+    def html(a: int, b: int) -> bytes:
+        return (
+            "<html><head><title>t</title></head><body><nav>n</nav>"
+            f"<p>{pairs[a][0]} (\"{pairs[a][1]}\") supplied components "
+            f"to {pool[b]}.</p>"
+            "<footer>(c) 2024 Example Media. All rights reserved."
+            "</footer></body></html>"
+        ).encode("utf-8")
+
+    # verify every distinct (pair, other) combo through the REAL stage
     combos = sorted({(int(a), int(b)) for a, b in zip(pi, oi)})
-    sents = [
-        f'{pairs[a][0]} ("{pairs[a][1]}") supplied components to {pool[b]}.'
-        for a, b in combos
-    ]
-    probe = AliasExtractActor()(
+    probe = PageAliasItems(DEFAULT_CONFIG, company_db_table())(
         pa.table(
             {
                 "url": pa.array([str(i) for i in range(len(combos))]),
-                "sent_id": pa.array(range(len(combos)), pa.int64()),
-                "sent": pa.array(sents, pa.string()),
+                "html": pa.array([html(a, b) for a, b in combos], pa.binary()),
             }
         )
     ).to_pandas()
@@ -625,16 +573,7 @@ def pages_with_alias_sentences_parquet_for(sf_dir: str) -> str:
     tss = (
         np.datetime64("2024-01-01", "us") + doc_id.astype("timedelta64[s]")
     )
-    htmls = [
-        (
-            "<html><head><title>t</title></head><body><nav>n</nav>"
-            f"<p>{pairs[a][0]} (\"{pairs[a][1]}\") supplied components "
-            f"to {pool[b]}.</p>"
-            "<footer>(c) 2024 Example Media. All rights reserved."
-            "</footer></body></html>"
-        ).encode("utf-8")
-        for a, b in zip(pi, oi)
-    ]
+    htmls = [html(a, b) for a, b in zip(pi, oi)]
     out = pa.table(
         {
             "url": pa.array(urls, pa.string()),

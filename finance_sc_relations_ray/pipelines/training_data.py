@@ -3,7 +3,9 @@ train_preprocess stages (SURVEY.md §3.2, src/stages/data_split.py,
 src/relation_extraction/preprocessing_funcs.py:77-180) as one
 distributed pipeline:
 
-    pages → sentence scoring (stub-RE weak labels) → tagged pair rows
+    pages → per page: gated sentences → NER → tagged pair rows →
+            stub-RE weak labels  [one page-local task stage, fused
+                                  with the page read]
           → doc-level stratified split (O4, split at DOCUMENT
             granularity so no sentence leaks across train/valid —
             preprocess.py:397-447)
@@ -20,11 +22,10 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..config import actor_resources, DEFAULT_CONFIG, KGConfig
+from ..config import DEFAULT_CONFIG, INVERSE_RELATION, KGConfig
 from ..functions.fuzzy import hash_split
 from ..functions.tagging import inverse_relations
-from ..config import INVERSE_RELATION
-from .kg import read_page_columns, sentences_dataset
+from .kg import map_pages, read_pages
 
 LABELS = ("supplier", "customer", "other")
 
@@ -40,50 +41,57 @@ TRAIN_SCHEMA = pa.schema(
 )
 
 
-class TaggedExampleActor:
-    """Sentence rows → one labeled tagged example per pair variant
-    (weak labels from the rule scorer; swap point for LLM labels via
-    functions/weak_labels.py)."""
+class PageTrainingExamples:
+    """Training-example stage UDF: (url, html, lang) page rows → one
+    labeled tagged example per pair variant of each English page's
+    SC-gated sentences (weak labels from the rule scorer; swap point
+    for LLM labels via functions/weak_labels.py).
+
+    Per slice of ``fused.SLICE_PAGES`` pages: one ``spans_batch`` call
+    over the slice's gated sentences, then one ``score_batch`` call
+    over its tagged examples. An instance holds only ``config``, like
+    ``PageKGActor``, and the models come from the page stage's
+    per-process cache, under its key."""
 
     def __init__(self, config: KGConfig = DEFAULT_CONFIG):
-        from ..stages.ner import make_tagger
-        from ..stages.scoring import make_scorer
-
-        self.tagger = make_tagger(config)
-        self.re_model = make_scorer(config)
         self.config = config
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..functions.tagging import entity_annotation
+        from ..stages import fused
         from ..stages.backends import score_batch, spans_batch
-        from ..stages.fused import group_sentence
-        from ..stages.scoring import _SUPPLY_RE, _representative
+        from ..stages.scoring import _representative
 
-        gated = [
-            (url, sent)
-            for url, sent in zip(batch["url"].to_pylist(), batch["sent"].to_pylist())
-            if _SUPPLY_RE.search(sent) is not None
-        ]
-        spans_list = spans_batch(self.tagger, [s for _, s in gated]) if gated else []
-        rows = []  # (url, tagged, e1, e2)
-        for (url, sent), spans in zip(gated, spans_list):
-            grouped = group_sentence(sent, spans, self.config)
-            if grouped is None:
-                continue
-            groups, _, members = grouped
-            reps = [_representative(m) for m in members]
-            for a in range(len(reps)):
-                for b in range(a + 1, len(reps)):
-                    for tagged in entity_annotation(sent, reps[a], reps[b], groups, 1):
-                        rows.append((url, tagged, reps[a], reps[b]))
-        scores = score_batch(self.re_model, [r[1] for r in rows]) if rows else []
+        models = fused.page_models(self.config)
         out = {k: [] for k in ("url", "sents", "relations", "entity1", "entity2")}
-        for (url, tagged, e1, e2), sc in zip(rows, scores):
-            out["url"].append(url)
-            out["sents"].append(tagged)
-            out["relations"].append(LABELS[max(range(3), key=lambda i: sc[i])])
-            out["entity1"].append(e1)
-            out["entity2"].append(e2)
+        pages = fused.english_pages(batch)
+        for lo in range(0, len(pages), fused.SLICE_PAGES):
+            gated = [
+                (url, sent)
+                for url, html in pages[lo:lo + fused.SLICE_PAGES]
+                for _, sent in fused._page_sentences(html)
+            ]
+            spans_list = (
+                spans_batch(models.tagger, [s for _, s in gated]) if gated else []
+            )
+            rows = []  # (url, tagged, e1, e2)
+            for (url, sent), spans in zip(gated, spans_list):
+                grouped = fused.group_sentence(sent, spans, self.config)
+                if grouped is None:
+                    continue
+                groups, _, members = grouped
+                reps = [_representative(m) for m in members]
+                for a in range(len(reps)):
+                    for b in range(a + 1, len(reps)):
+                        for tagged in entity_annotation(sent, reps[a], reps[b], groups, 1):
+                            rows.append((url, tagged, reps[a], reps[b]))
+            scores = score_batch(models.re_model, [r[1] for r in rows]) if rows else []
+            for (url, tagged, e1, e2), sc in zip(rows, scores):
+                out["url"].append(url)
+                out["sents"].append(tagged)
+                out["relations"].append(LABELS[max(range(3), key=lambda i: sc[i])])
+                out["entity1"].append(e1)
+                out["entity2"].append(e2)
         return pa.table({k: pa.array(v, pa.string()) for k, v in out.items()})
 
 
@@ -95,14 +103,8 @@ def build_training_data(
     seed: int = 42,
 ) -> "ray.data.Dataset":
     """pages parquet → labeled, split, (train-)augmented examples."""
-    sentences = sentences_dataset(read_page_columns(pages_path))
-    examples = sentences.map_batches(
-        TaggedExampleActor,
-        fn_constructor_kwargs={"config": config},
-        batch_format="pyarrow",
-        batch_size=config.ner_batch_size,
-        concurrency=config.ner_concurrency,
-        **actor_resources(config),
+    examples = map_pages(
+        read_pages(pages_path), PageTrainingExamples(config), config
     )
 
     # doc-level split: a stateless hash of the url (functions/fuzzy.py

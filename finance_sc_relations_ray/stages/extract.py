@@ -1,6 +1,8 @@
-"""Stage 1-3: lang filter → html→text extraction → sentence fan-out.
+"""Stage 1-3: html→text extraction → sentence fan-out.
 
-All stateless, zero-copy Arrow ``map_batches``. The extraction is the
+The page-local stages (stages/fused.py) call :func:`extract_text` per
+page; :func:`sentencize_batch` is the Arrow sentence fan-out the oracle
+composes. The extraction is the
 byte-identity invariant surface: per url, ``clean(extract(html))`` must
 equal ``clean(text)`` byte-for-byte (BASELINE.json input_hint; clean
 semantics from reference src/utils/data_clean.py:5-6). Sentences are
@@ -13,7 +15,6 @@ from __future__ import annotations
 import re
 
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from ..functions.clean import clean_array, clean_text
 from ..functions.textops import sentencize
@@ -25,18 +26,6 @@ def extract_text(html: bytes) -> str:
     single space (nav/header/footer dropped). Deterministic; no parser
     dependency."""
     return " ".join(m.decode("utf-8") for m in _P_RE.findall(html))
-
-
-def filter_english(batch: pa.Table) -> pa.Table:
-    return batch.filter(pc.equal(batch["lang"], "en"))
-
-
-def extract_batch(batch: pa.Table) -> pa.Table:
-    """(url, html, ...) → (url, page_text)."""
-    texts = [extract_text(h) for h in batch["html"].to_pylist()]
-    return pa.table(
-        {"url": batch["url"], "page_text": pa.array(texts, type=pa.string())}
-    )
 
 
 def sentencize_batch(batch: pa.Table) -> pa.Table:

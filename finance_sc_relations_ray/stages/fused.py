@@ -75,6 +75,14 @@ class PageModels:
         self.tokenizer = StubTokenizer(config.max_token_len)
 
 
+def sentence_aliases(sent: str, ents: list[str], config: KGConfig) -> list[tuple[str, str]]:
+    """The (target, alias) pairs of a sentence whose sorted entity
+    names are ``ents``: the alias candidates next to them that pass the
+    alias filter. The grouping and the alias-item stage share this."""
+    cand = detect_alias_candidates(sent, ents)
+    return filter_aliases(cand, similarity, config.alias_sim_threshold)
+
+
 def group_sentence(sent: str, spans: list[dict], config: KGConfig):
     """One sentence's NER spans → ``(groups, aliases, members)``: the
     entity name → group id map, the kept (target, alias) pairs and each
@@ -84,8 +92,7 @@ def group_sentence(sent: str, spans: list[dict], config: KGConfig):
     if not spans:
         return None
     ents = sorted({sp["text"] for sp in spans})
-    cand = detect_alias_candidates(sent, ents)
-    filtered = filter_aliases(cand, similarity, config.alias_sim_threshold)
+    filtered = sentence_aliases(sent, ents, config)
     ents_vec = dict(zip(ents, encode_names(ents)))
     groups = group_entities(ents, filtered, filtered, ents_vec, config.group_threshold)
     gids: dict[int, list[str]] = {}
@@ -96,20 +103,25 @@ def group_sentence(sent: str, spans: list[dict], config: KGConfig):
     return groups, filtered, [gids[g] for g in sorted(gids)]
 
 
-def _page_sentences(html: bytes) -> list[tuple[int, str]]:
-    """Phase 1: a page's gated sentences as (sent_id, cleaned text)."""
+def page_sentences(html: bytes) -> list[str]:
+    """A page's sentences, extracted, sentencized and cleaned, in page
+    order: a sentence's index is its sent_id."""
     from ..functions.clean import clean_text
     from ..functions.textops import sentencize
     from .extract import extract_text
 
-    out = []
-    for sent_id, raw in enumerate(sentencize(extract_text(html))):
-        sent = clean_text(raw)
-        # SC gate first (cheapest): negative sentences never reach the
-        # NER model — gate-vs-NER order is commutative on the kept set
-        if _SUPPLY_RE.search(sent) is not None:
-            out.append((sent_id, sent))
-    return out
+    return [clean_text(raw) for raw in sentencize(extract_text(html))]
+
+
+def _page_sentences(html: bytes) -> list[tuple[int, str]]:
+    """Phase 1: a page's gated sentences as (sent_id, cleaned text)."""
+    # SC gate first (cheapest): negative sentences never reach the
+    # NER model — gate-vs-NER order is commutative on the kept set
+    return [
+        (sent_id, sent)
+        for sent_id, sent in enumerate(page_sentences(html))
+        if _SUPPLY_RE.search(sent) is not None
+    ]
 
 
 def _page_pairs(url: str, sents, spans_list, models: PageModels):
@@ -275,6 +287,31 @@ def _cached(cache: dict, key, load):
     return hit
 
 
+def page_models(config: KGConfig, reverse: bool = True) -> PageModels:
+    """This process's models for ``(config, reverse)``. The alias-item
+    and training-data stages ask with ``reverse=True``, the page stage's
+    default, so a worker keeps one model set across builds, alias runs
+    and training exports."""
+    return _cached(_SCORER, (config, reverse), lambda: PageModels(config, reverse))
+
+
+def english_pages(batch: pa.Table) -> list[tuple[str, bytes]]:
+    """A block's English pages as (url, html), in block order; a block
+    without a ``lang`` column is all English."""
+    langs = (
+        batch["lang"].to_pylist()
+        if "lang" in batch.column_names
+        else ["en"] * batch.num_rows
+    )
+    return [
+        (url, html)
+        for url, html, lang in zip(
+            batch["url"].to_pylist(), batch["html"].to_pylist(), langs
+        )
+        if lang == "en"
+    ]
+
+
 def _linker(db_ref, config: KGConfig):
     """The linker for ``db_ref``. A broadcast DB is keyed by its ref's
     hex id, never the ref itself, so the cache does not keep an old DB
@@ -323,23 +360,8 @@ class PageKGActor:
 
     def __call__(self, batch: pa.Table) -> pa.Table:  # noqa: D102
         agg_out = {k: [] for k in DOC_RELATIONS_SCHEMA.names}
-        langs = (
-            batch["lang"].to_pylist()
-            if "lang" in batch.column_names
-            else ["en"] * batch.num_rows
-        )
-        models = _cached(
-            _SCORER,
-            (self.config, self.reverse),
-            lambda: PageModels(self.config, self.reverse),
-        )
-        pages = [
-            (url, html)
-            for url, html, lang in zip(
-                batch["url"].to_pylist(), batch["html"].to_pylist(), langs
-            )
-            if lang == "en"
-        ]
+        models = page_models(self.config, self.reverse)
+        pages = english_pages(batch)
         dead: list[tuple[str, BaseException]] = []
         for lo in range(0, len(pages), SLICE_PAGES):
             part = pages[lo:lo + SLICE_PAGES]

@@ -8,7 +8,7 @@ src/sagemaker/re_inference.py:128-138).
 
 Ray-Data-first design: the company DB is SMALL relative to the stream,
 so instead of a shuffle join the DB is broadcast once via ``ray.put``
-and each linking actor builds a per-prefix index in ``__init__``
+and each worker process builds a per-prefix index once
 (SURVEY.md §2.5 J2 — broadcast side + lookup inside map_batches; a
 hash-partitioned groupby(prefix) join is the fallback for a DB too big
 to broadcast and is what stages/shuffle.py's salted machinery would
@@ -83,8 +83,9 @@ class PrefixIndex:
 
 
 class Linker:
-    """Cached prefix-index linker: runs inline in ``PageKGActor``,
-    ``alias_items_dataset``'s link actor and ``oracle/kg_oracle.py``."""
+    """Cached prefix-index linker: runs inline in ``PageKGActor``, in
+    the alias-item stage (``pipelines/kg.PageAliasItems``) and in
+    ``oracle/kg_oracle.py``."""
 
     def __init__(self, db_table: pa.Table, config: KGConfig):
         self.index = PrefixIndex(db_table, config.prefix_len)

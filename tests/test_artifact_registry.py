@@ -56,7 +56,6 @@ def test_bound_config_drives_actor_stage(tmp_path, ray_session):
     """Promotion → bind → the NER actor pool actually runs the
     promoted backend (outputs differ between gazetteer and heuristic
     on a sentence only the heuristic tags)."""
-    from finance_sc_relations_ray.config import actor_resources
     from finance_sc_relations_ray.stages.ner import NerActor
 
     rows = [
@@ -77,7 +76,7 @@ def test_bound_config_drives_actor_stage(tmp_path, ray_session):
                 fn_constructor_kwargs={"config": cfg},
                 batch_format="pyarrow",
                 concurrency=1,
-                **actor_resources(cfg),
+                num_cpus=0.5,
             )
             .to_pandas()
         )

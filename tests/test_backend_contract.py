@@ -2,8 +2,8 @@
 tagger / RE scorer / tokenizer / name encoder backend must satisfy the
 documented contract in stages/backends.py, and a deliberately
 HEAVYWEIGHT fake (real-model-sized state + slow init) proves the
-load-once guarantees — init exactly once per actor in the actor-pool
-stages and once per worker process in the task-run page stage, state
+load-once guarantees — init exactly once per actor in an actor pool
+and once per worker process in the task-run model stages, state
 resident across batches — that a real spaCy/sec-bert swap relies on.
 
 Expectations ported from reference test/test_language_model.py:1-32
@@ -16,7 +16,7 @@ import pandas as pd
 import pytest
 import ray
 
-from finance_sc_relations_ray.config import KGConfig, actor_resources
+from finance_sc_relations_ray.config import KGConfig
 from finance_sc_relations_ray.functions.names import encode_names
 from finance_sc_relations_ray.functions.tokenizer import StubTokenizer
 from finance_sc_relations_ray.stages.backends import (
@@ -148,12 +148,6 @@ def test_backend_registries():
     assert isinstance(make_scorer(cfg), HeavyFakeScorer)
 
 
-def test_actor_resources_gpu_fraction():
-    assert actor_resources(KGConfig()) == {"num_cpus": 0.5}
-    kw = actor_resources(KGConfig(actor_num_gpus=0.25))
-    assert kw == {"num_cpus": 0.5, "num_gpus": 0.25}
-
-
 def test_heavy_fake_actor_pool_init_once(ray_session):
     """The heavyweight backend through the REAL NerActor stage: 256 MB
     state + 1 s simulated checkpoint load per actor. With 2 actors and
@@ -179,7 +173,7 @@ def test_heavy_fake_actor_pool_init_once(ray_session):
                 batch_format="pyarrow",
                 batch_size=8,
                 concurrency=2,
-                **actor_resources(cfg),
+                num_cpus=0.5,
             )
             .to_pandas()
             .sort_values("sent_id")
@@ -209,52 +203,52 @@ def test_heavy_fake_actor_pool_init_once(ray_session):
             for s in base["spans"]]
 
 
-def test_alias_extract_actor_pool_init_once(ray_session):
-    """r4 verdict #2: alias extraction must load its tagger ONCE per
-    actor in __init__ (it used to build a SentencePairScorer on the
-    driver and pickle it into a map-fn default arg). Same structural
-    proof as the NerActor test: the heavy fake logs every __init__."""
+def test_alias_and_training_stages_load_models_once_per_worker_process(tmp_path):
+    """The alias-item and training-data stages run as Ray tasks on the
+    page stage's per-process model cache, under its key: three
+    ``alias_items_dataset`` runs and two ``build_training_data`` runs
+    with the heavy fake models log at most one load per worker process,
+    bounded by the session's 4 CPUs rather than by the executions (a
+    fresh actor pool per execution would log at least 5), and their
+    outputs equal the stub models' (the fakes delegate). Both models
+    are heavy, so the cache key differs from the page-stage test's and
+    the workers load here whichever test runs first."""
     import os
 
-    from finance_sc_relations_ray.pipelines.kg import AliasExtractActor
-    from finance_sc_relations_ray.stages.backends import HeavyFakeTagger
+    import pyarrow.parquet as pq
 
-    rows = [
-        {
-            "url": f"u{i}",
-            "sent_id": i,
-            "sent": 'International Business Machines Corporation ("IBM")'
-            " supplied components to Apple Inc.",
-        }
-        for i in range(200)
-    ]
-    ds = ray.data.from_items(rows).repartition(25)
+    from finance_sc_relations_ray.pipelines.kg import alias_items_dataset
+    from finance_sc_relations_ray.pipelines.training_data import (
+        build_training_data,
+    )
+    from finance_sc_relations_ray.sources.pages import generate_pages
 
-    def run(backend):
-        cfg = KGConfig(ner_backend=backend)
-        return (
-            ds.map_batches(
-                AliasExtractActor,
-                fn_constructor_kwargs={"config": cfg},
-                batch_format="pyarrow",
-                batch_size=8,
-                concurrency=2,
-                **actor_resources(cfg),
-            )
-            .to_pandas()
-            .sort_values(["url", "target", "alias"])
-            .reset_index(drop=True)
-        )
+    path = str(tmp_path / "pages.parquet")
+    pq.write_table(generate_pages(list(range(128))), path, row_group_size=16)
 
+    def aliases(cfg):
+        return (alias_items_dataset(path, cfg).to_pandas()
+                .sort_values(["url", "target", "alias"]).reset_index(drop=True))
+
+    def examples(cfg):
+        return (build_training_data(path, cfg).to_pandas()
+                .sort_values(["url", "sents", "relations"]).reset_index(drop=True))
+
+    heavy = KGConfig(ner_backend="heavy_fake", re_backend="heavy_fake")
     if os.path.exists(HeavyFakeTagger.INIT_LOG):
         os.remove(HeavyFakeTagger.INIT_LOG)
-    heavy = run("heavy_fake")
-    base = run("gazetteer")
+    alias_outs = [aliases(heavy) for _ in range(3)]
+    train_outs = [examples(heavy) for _ in range(2)]
     with open(HeavyFakeTagger.INIT_LOG) as fh:
-        n_inits = len(fh.readlines())
-    assert 1 <= n_inits <= 4, f"suspect per-batch re-init: {n_inits} inits"
-    assert len(heavy) > 0  # the planted quote-alias pattern is detected
-    pd.testing.assert_frame_equal(heavy, base)
+        pids = fh.read().split()
+    assert len(pids) == len(set(pids)), f"a worker loaded twice: {pids}"
+    assert 1 <= len(pids) <= 4, f"loads scale with executions: {pids}"
+    base = KGConfig()
+    assert len(alias_outs[0]) > 0 and len(train_outs[0]) > 0
+    for out in alias_outs:
+        pd.testing.assert_frame_equal(out, aliases(base))
+    for out in train_outs:
+        pd.testing.assert_frame_equal(out, examples(base))
 
 
 def test_page_stage_loads_models_once_per_worker_process(tmp_path):
