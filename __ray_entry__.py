@@ -11,7 +11,7 @@ nothing here (nor in the library) calls ``ray.init``/``ray.shutdown``.
   search, text analysis).
 - ``oracle_sql()``: DuckDB-equivalent SQL for every SQL-expressible
   query, with matching column names and rounding. KG-pipeline and
-  sketch-based operators (MinHash/SimHash/LSH) are non-SQL-expressible
+  sketch-based operators (HLL, approximate kNN) are non-SQL-expressible
   → rows-only checks; their semantics are covered by the pytest oracle
   (tests/test_pipeline_e2e.py, tests/test_dedup.py).
 """
@@ -110,23 +110,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "sentencize_documents": T.sentencize_documents,
         "doc_quality": T.doc_quality,
         "lang_id_documents": T.lang_id_documents,
-        "span_dedup_documents": T.span_dedup_documents,
         "filter_quality_documents": T.filter_quality_documents,
-        # oracle-gated: the degenerate-bucket star cap is deliberately
-        # not modeled in the SQL oracle (cannot trigger at gate scale);
-        # raise loudly if it ever would, instead of hash-mismatching
-        "minhash_dup_pairs": functools.partial(
-            T.minhash_dup_pairs, on_degenerate="raise"
-        ),
-        "dup_clusters": T.dup_clusters,
         "unigram_logprob_documents": T.unigram_logprob_documents,
-        # SimHash near-dup PAIR MINING (Charikar pigeonhole banding —
-        # exact recall at hamming<=k, popcount verify in-bucket; its
-        # oracle embeds the signature CTE verbatim, so the exiled
-        # simhash_documents is checked transitively here)
-        "simhash_dup_pairs": functools.partial(
-            T.simhash_dup_pairs, on_degenerate="raise"
-        ),
         # per-lang quantile-gated length filter (two-pass bounded-stats
         # → broadcast-threshold → map-only shape)
         "length_quantile_filter": T.length_quantile_filter,
@@ -173,13 +158,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # the oracle replays the plant with the frozen pair pool and
         # each pair's company-DB rgid as literals (pipelines/kg.py)
         "alias_items_planted": KGC.alias_items_planted,
-        "ngram_jaccard_pairs": T.ngram_jaccard_pairs,
         "heavy_hitter_tokens": T.heavy_hitter_tokens,
         # pagerank_lineitem shares the pagerank_edges_ds core with
         # kg_entity_pagerank
         "pagerank_lineitem": G.pagerank_lineitem,
         "events_sliding": R.events_sliding,
-        "dedup_exact": T.dedup_exact,
         # incremental url-state ingest: the persisted-artifact
         # result-twin of the in-window url_dedup_pages (same SQL
         # oracle) — base state + variant-rows delta through the
@@ -194,19 +177,15 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "fingerprint_documents": T.fingerprint_documents,
         "subword_token_counts": T.subword_token_counts,
         "hash_split_documents": M.hash_split_documents,
-        # ---------------- end of the first-50 window (entry #50) -------------
-        # exiled stable SQL twins (still DuckDB-checked in pytest).
-        # Each shares its code path with an in-window query:
-        # simhash_documents with the simhash_dup_pairs oracle CTE, the
-        # epoch / bucket-join / consistent-sample variants with their
-        # in-window siblings.
-        "simhash_documents": T.simhash_documents,
         "customers_without_orders": R.customers_without_orders,
         "segment_order_stats_bucket_join": R.segment_order_stats_bucket_join,
         "sample_documents_consistent": M.sample_documents_consistent,
         "distinct_segments": R.distinct_segments,
         "distinct_user_count": R.distinct_user_count,
         "events_asof_join_epoch": R.events_asof_join_epoch,
+        # ---------------- end of the first-50 window (entry #50) -------------
+        # exiled stable SQL twin (still DuckDB-checked in pytest): it
+        # shares its code path with the in-window events_range_join.
         "events_range_join_epoch": R.events_range_join_epoch,
         # HLL sketch (approximate, non-SQL)
         "approx_distinct_users": R.approx_distinct_users,
@@ -243,22 +222,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
 # --------------------------------------------------------------------- #
 def oracle_sql() -> dict[str, str]:
     ws = _WS.replace("'", "''")
-    # MinHash permutation constants (seed 42) embedded as literals so
-    # DuckDB reproduces the engine's signatures bit-for-bit
     from finance_sc_relations_ray.pipelines.kg import (
         alias_items_oracle as _KG_ALIAS_ORACLE,
     )
-    from finance_sc_relations_ray.pipelines.text import _minhash_params
     from finance_sc_relations_ray.pipelines.web import (
         DOMAIN_STATS_ORACLE as _DOMAIN_STATS_ORACLE,
         URL_DEDUP_ORACLE as _URL_DEDUP_ORACLE,
     )
 
-    mh_a, mh_b = _minhash_params(64)
-    mh_perms = ", ".join(
-        f"({i}, {int(mh_a[i])}::HUGEINT, {int(mh_b[i])}::HUGEINT)"
-        for i in range(64)
-    )
     return {
         "q1_pricing_summary": """
             SELECT l_returnflag, l_linestatus,
@@ -567,12 +538,6 @@ def oracle_sql() -> dict[str, str]:
                         / length(text)::DOUBLE
                    ELSE 0.0 END) <= 0.05
         """,
-        "dedup_exact": """
-            SELECT md5(text) AS text_hash,
-                   min(doc_id) AS doc_id,
-                   count(*)    AS n_dups
-            FROM documents GROUP BY md5(text)
-        """,
         "segment_class_weights": """
             SELECT c_mktsegment, count(*) AS n,
                    round(count(*) / (SELECT count(*) FROM customer)::DOUBLE, 6)
@@ -636,72 +601,6 @@ def oracle_sql() -> dict[str, str]:
             WHERE d.n_chars >= t.threshold
             GROUP BY 1, 2
             ORDER BY 1
-        """,
-        "simhash_documents": r"""
-            WITH t AS (
-                SELECT doc_id, unnest(regexp_extract_all(lower(text), '\S+')) AS tok
-                FROM documents
-            ), tc AS (
-                SELECT doc_id, tok, count(*)::BIGINT AS c,
-                       ('0x' || substr(md5(tok), 1, 16))::UBIGINT AS h
-                FROM t GROUP BY doc_id, tok
-            ), bits AS (
-                SELECT doc_id, i,
-                       sum(CASE WHEN (h >> i) & 1 = 1 THEN c ELSE -c END) AS acc
-                FROM tc CROSS JOIN (SELECT unnest(range(64)) AS i) b
-                GROUP BY doc_id, i
-            ), u AS (
-                SELECT doc_id,
-                       sum(CASE WHEN acc > 0
-                                THEN (1::UBIGINT << i)::HUGEINT
-                                ELSE 0 END) AS uh
-                FROM bits GROUP BY doc_id
-            )
-            -- two's-complement reinterpretation of the unsigned hash;
-            -- LEFT JOIN keeps token-less docs at simhash 0
-            SELECT d.doc_id,
-                   coalesce((u.uh - CASE WHEN u.uh >= 9223372036854775808
-                                         THEN 18446744073709551616::HUGEINT
-                                         ELSE 0 END)::BIGINT,
-                            0) AS simhash
-            FROM documents d LEFT JOIN u ON d.doc_id = u.doc_id
-        """,
-        "simhash_dup_pairs": r"""
-            -- the engine's pigeonhole banding has exact recall at
-            -- hamming <= k and popcount-verifies every candidate, so
-            -- its output IS the all-pairs hamming filter over the
-            -- (bit-exact, see simhash_documents) signature CTE
-            WITH t AS (
-                SELECT doc_id, unnest(regexp_extract_all(lower(text), '\S+')) AS tok
-                FROM documents
-            ), tc AS (
-                SELECT doc_id, tok, count(*)::BIGINT AS c,
-                       ('0x' || substr(md5(tok), 1, 16))::UBIGINT AS h
-                FROM t GROUP BY doc_id, tok
-            ), bits AS (
-                SELECT doc_id, i,
-                       sum(CASE WHEN (h >> i) & 1 = 1 THEN c ELSE -c END) AS acc
-                FROM tc CROSS JOIN (SELECT unnest(range(64)) AS i) b
-                GROUP BY doc_id, i
-            ), u AS (
-                SELECT doc_id,
-                       sum(CASE WHEN acc > 0
-                                THEN (1::UBIGINT << i)::HUGEINT
-                                ELSE 0 END) AS uh
-                FROM bits GROUP BY doc_id
-            ), s AS (
-                SELECT d.doc_id,
-                       coalesce((u.uh - CASE WHEN u.uh >= 9223372036854775808
-                                             THEN 18446744073709551616::HUGEINT
-                                             ELSE 0 END)::BIGINT,
-                                0) AS simhash
-                FROM documents d LEFT JOIN u ON d.doc_id = u.doc_id
-            )
-            SELECT a.doc_id AS doc_id_a, b.doc_id AS doc_id_b,
-                   bit_count(xor(a.simhash, b.simhash))::BIGINT AS hamming
-            FROM s a JOIN s b ON a.doc_id < b.doc_id
-            WHERE bit_count(xor(a.simhash, b.simhash)) <= 3
-            ORDER BY 1, 2
         """,
         # the md5-ordered within-stratum shuffle mirrored exactly;
         # round(n*0.2) can never land on .5 (n/5 has no .5 fraction),
@@ -849,153 +748,6 @@ def oracle_sql() -> dict[str, str]:
         # the incremental path must land on the SAME rows (fold
         # associativity), so it shares the oracle
         "url_state_update": _URL_DEDUP_ORACLE,
-        # Full MinHash+LSH+verify mirror: identical md5-64 shingle
-        # hashes, the engine's exact (a*h+b) uint64-WRAP-then-Mersenne
-        # permutation arithmetic (constants embedded above), md5-64
-        # band bucketing, exact-Jaccard gate — bit-identical by
-        # construction (the star cap for >1000-doc buckets cannot
-        # trigger at oracle scale)
-        "minhash_dup_pairs": rf"""
-            WITH perms AS (
-                SELECT * FROM (VALUES {mh_perms}) p(i, pa, pb)
-            ), toks AS (
-                SELECT doc_id, regexp_extract_all(lower(text), '\S+') AS t
-                FROM documents
-            ), sh AS (
-                SELECT doc_id,
-                    list_distinct(
-                        CASE WHEN len(t) >= 3
-                             THEN list_transform(range(1, len(t) - 1),
-                                                 i -> array_to_string(t[i:i+2], ' '))
-                             WHEN len(t) > 0 THEN [array_to_string(t, ' ')]
-                             ELSE [] END
-                    ) AS s
-                FROM toks
-            ), eh AS (
-                SELECT DISTINCT doc_id,
-                       ('0x' || substr(md5(g), 1, 16))::UBIGINT::HUGEINT AS h
-                FROM (SELECT doc_id, unnest(s) AS g FROM sh)
-            ), sig AS (
-                SELECT d.doc_id, p.i,
-                       coalesce(min(((p.pa * e.h) % 18446744073709551616::HUGEINT
-                                     + p.pb) % 18446744073709551616::HUGEINT
-                                    % 2305843009213693951),
-                                2305843009213693951) AS v
-                FROM (SELECT doc_id FROM documents) d
-                CROSS JOIN perms p
-                LEFT JOIN eh e ON e.doc_id = d.doc_id
-                GROUP BY d.doc_id, p.i
-            ), bands AS (
-                SELECT doc_id, i // 4 AS band_id,
-                       substr(md5(string_agg(v::VARCHAR, ',' ORDER BY i)),
-                              1, 16) AS bh
-                FROM sig GROUP BY doc_id, i // 4
-            ), cand AS (
-                SELECT DISTINCT x.doc_id AS doc_id_a, y.doc_id AS doc_id_b
-                FROM bands x JOIN bands y
-                  ON x.band_id = y.band_id AND x.bh = y.bh
-                 AND y.doc_id > x.doc_id
-            ), cnt AS (
-                SELECT s.doc_id, count(e.h) AS n
-                FROM sh s LEFT JOIN eh e ON e.doc_id = s.doc_id
-                GROUP BY s.doc_id
-            ), inter AS (
-                SELECT c.doc_id_a, c.doc_id_b, count(*) AS i
-                FROM cand c
-                JOIN eh a ON a.doc_id = c.doc_id_a
-                JOIN eh b ON b.doc_id = c.doc_id_b AND b.h = a.h
-                GROUP BY 1, 2
-            )
-            SELECT c.doc_id_a, c.doc_id_b,
-                   round(CASE WHEN ca.n = 0 AND cb.n = 0 THEN 1.0
-                         ELSE coalesce(i.i, 0)
-                              / (ca.n + cb.n - coalesce(i.i, 0))::DOUBLE
-                         END, 6) AS jaccard
-            FROM cand c
-            LEFT JOIN inter i ON i.doc_id_a = c.doc_id_a
-                             AND i.doc_id_b = c.doc_id_b
-            JOIN cnt ca ON ca.doc_id = c.doc_id_a
-            JOIN cnt cb ON cb.doc_id = c.doc_id_b
-            WHERE CASE WHEN ca.n = 0 AND cb.n = 0 THEN 1.0
-                  ELSE coalesce(i.i, 0)
-                       / (ca.n + cb.n - coalesce(i.i, 0))::DOUBLE
-                  END >= 0.8
-        """,
-        "ngram_jaccard_pairs": r"""
-            WITH toks AS (
-                SELECT doc_id, regexp_extract_all(lower(text), '\S+') AS t
-                FROM documents
-            ), sh AS (
-                SELECT doc_id,
-                    list_distinct(
-                        CASE WHEN len(t) >= 3
-                             THEN list_transform(range(1, len(t) - 1),
-                                                 i -> array_to_string(t[i:i+2], ' '))
-                             WHEN len(t) > 0 THEN [array_to_string(t, ' ')]
-                             ELSE [] END
-                    ) AS s
-                FROM toks
-            ), e AS (SELECT doc_id, unnest(s) AS g FROM sh),
-            cnt AS (SELECT doc_id, len(s) AS n FROM sh),
-            inter AS (
-                SELECT a.doc_id AS doc_id_a, b.doc_id AS doc_id_b,
-                       count(*) AS i
-                FROM e a JOIN e b ON a.g = b.g AND b.doc_id > a.doc_id
-                GROUP BY 1, 2
-            )
-            SELECT doc_id_a, doc_id_b,
-                   round(i / (ca.n + cb.n - i)::DOUBLE, 6) AS jaccard
-            FROM inter
-            JOIN cnt ca ON ca.doc_id = doc_id_a
-            JOIN cnt cb ON cb.doc_id = doc_id_b
-            WHERE i / (ca.n + cb.n - i)::DOUBLE >= 0.8
-        """,
-        "span_dedup_documents": f"""
-            WITH l AS (
-                SELECT doc_id,
-                       regexp_extract_all(text, '[^.!?]+[.!?]*') AS sents
-                FROM documents
-            ), z AS (
-                SELECT doc_id,
-                       unnest(list_zip(sents, range(len(sents)))) AS p
-                FROM l
-            ), e AS (
-                SELECT doc_id, trim(p[1], '{ws}') AS sent, p[2] AS i
-                FROM z
-            ), s AS (
-                SELECT doc_id,
-                       row_number() OVER (PARTITION BY doc_id ORDER BY i) - 1
-                           AS idx,
-                       sent
-                FROM e WHERE sent <> ''
-            ), sp AS (
-                SELECT a.doc_id, a.idx AS pos,
-                       a.sent || ' ' || b.sent || ' ' || c.sent AS span
-                FROM s a
-                JOIN s b ON b.doc_id = a.doc_id AND b.idx = a.idx + 1
-                JOIN s c ON c.doc_id = a.doc_id AND c.idx = a.idx + 2
-            ), ranked AS (
-                SELECT doc_id, pos,
-                       row_number() OVER (PARTITION BY span
-                                          ORDER BY doc_id, pos) AS rn
-                FROM sp
-            ), removed AS (
-                SELECT DISTINCT doc_id, pos + t.range AS idx
-                FROM ranked CROSS JOIN range(3) t
-                WHERE rn > 1
-            ), kept AS (
-                SELECT s.doc_id, s.idx, s.sent
-                FROM s
-                LEFT JOIN removed rm
-                    ON rm.doc_id = s.doc_id AND rm.idx = s.idx
-                WHERE rm.doc_id IS NULL
-            )
-            SELECT d.doc_id,
-                   coalesce(string_agg(k.sent, ' ' ORDER BY k.idx), '')
-                       AS text
-            FROM documents d LEFT JOIN kept k ON k.doc_id = d.doc_id
-            GROUP BY d.doc_id
-        """,
         "unigram_logprob_documents": r"""
             WITH t AS (
                 SELECT doc_id,
@@ -1015,46 +767,6 @@ def oracle_sql() -> dict[str, str]:
                         AS BIGINT) AS micro_logprob
             FROM t JOIN li USING (tok)
             GROUP BY t.doc_id
-        """,
-        "dup_clusters": r"""
-            WITH RECURSIVE toks AS (
-                SELECT doc_id, regexp_extract_all(lower(text), '\S+') AS t
-                FROM documents
-            ), sh AS (
-                SELECT doc_id,
-                    list_distinct(
-                        CASE WHEN len(t) >= 3
-                             THEN list_transform(range(1, len(t) - 1),
-                                                 i -> array_to_string(t[i:i+2], ' '))
-                             WHEN len(t) > 0 THEN [array_to_string(t, ' ')]
-                             ELSE [] END
-                    ) AS s
-                FROM toks
-            ), e AS (SELECT doc_id, unnest(s) AS g FROM sh),
-            cnt AS (SELECT doc_id, len(s) AS n FROM sh),
-            inter AS (
-                SELECT a.doc_id AS doc_id_a, b.doc_id AS doc_id_b,
-                       count(*) AS i
-                FROM e a JOIN e b ON a.g = b.g AND b.doc_id > a.doc_id
-                GROUP BY 1, 2
-            ), prs AS (
-                SELECT doc_id_a, doc_id_b
-                FROM inter
-                JOIN cnt ca ON ca.doc_id = doc_id_a
-                JOIN cnt cb ON cb.doc_id = doc_id_b
-                WHERE i / (ca.n + cb.n - i)::DOUBLE >= 0.8
-            ), edges AS (
-                SELECT doc_id_a AS s, doc_id_b AS d FROM prs
-                UNION ALL
-                SELECT doc_id_b, doc_id_a FROM prs
-            ), reach(node, label) AS (
-                SELECT doc_id, doc_id FROM documents
-                UNION
-                SELECT ed.d, r.label FROM reach r JOIN edges ed ON ed.s = r.node
-            )
-            SELECT node AS doc_id, min(label) AS cluster_id,
-                   CAST(node = min(label) AS BIGINT) AS is_canonical
-            FROM reach GROUP BY node
         """,
                 "knn_cosine": """
             WITH q AS (

@@ -4,7 +4,7 @@ At 10^12-row scale a raw key SET is too large to broadcast; a Bloom
 filter at ~10 bits/key (<1% false positives) ships a key-membership
 summary in ~1/30 the bytes (ray_guide 'Joins and lookups': "broadcast
 the key set (or a Bloom filter of it)"). Semi-joins must re-check
-positives against an exact structure downstream (as the minhash
+positives against an exact structure downstream (as the embedding-LSH
 candidate fetch does); for anti-joins only the no-false-NEGATIVE
 guarantee is exact — a false POSITIVE silently drops a row, so use the
 filter for anti-joins only as a pre-prune before an exact recheck.
@@ -60,7 +60,7 @@ class BloomFilter:
         ``add``/``build_distributed``); the per-key probe fan-out
         (k probes × bit tests) runs as one numpy pass instead of a
         Python loop per probe — the r3 ADVICE hot-path item for the
-        minhash Bloom semi-join. Only the two digests per key remain
+        candidate-funnel Bloom semi-join. Only the two digests per key remain
         Python-level (hashlib calls, C inside)."""
         n = len(keys)
         if n == 0:
@@ -134,7 +134,7 @@ def build_distributed(
     bitwise union in the aggregation tree, and the DRIVER only ever
     holds the final fixed-size bitmap — never the key list. This is the
     scale path for semi-join prunes whose key set is itself distributed
-    (e.g. the MinHash candidate ids, r2 verdict item #1).
+    (e.g. the embedding-LSH candidate ids, r2 verdict item #1).
     """
     from ray.data.aggregate import AggregateFn
 

@@ -84,17 +84,3 @@ def tokens_lower_batch(texts: list[str]) -> tuple["object", "object"]:
     )
     return flat, counts
 
-
-def shingles(text: str, n: int = 3) -> set[str]:
-    """Word n-gram shingles over lowercase whitespace tokens."""
-    toks = [t.lower() for t in _TOKEN_RE.findall(text)]
-    if len(toks) < n:
-        return {" ".join(toks)} if toks else set()
-    return {" ".join(toks[i : i + n]) for i in range(len(toks) - n + 1)}
-
-
-def jaccard(a: set[str], b: set[str]) -> float:
-    if not a and not b:
-        return 1.0
-    inter = len(a & b)
-    return inter / (len(a) + len(b) - inter)

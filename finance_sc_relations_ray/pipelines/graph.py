@@ -455,7 +455,7 @@ def pagerank_edges_ds(
 
     Two execution modes, chosen by the rank table's measured size
     (the repo's broadcast-vs-exchange rule, cf. the company-DB
-    broadcast and the minhash candidate funnel):
+    broadcast and the embedding-LSH candidate funnel):
 
     - **broadcast** (rank table ≤ ``rank_broadcast_max_bytes``): the
       per-iteration state is one int64 per node — usually orders of

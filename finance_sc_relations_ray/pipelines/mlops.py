@@ -330,7 +330,7 @@ def _emb_lsh_funnel_ds(
     """Reduced-copy sign-LSH pair mining (r3 verdict #2): the band
     exchange carries ONLY (vec_id, band_id, band_hash) — 20 bytes/row
     instead of 20 + 4·d — and full vectors are re-fetched for the
-    exact verify through the minhash-style candidate funnel
+    exact verify through a candidate funnel
     (sources/io.candidate_filtered_read + two bucket joins). Candidate
     generation is hash-identical to the ride-along plan (same seed-42
     planes, same bit packing), so recall and the verified pair set are
@@ -535,7 +535,7 @@ def embedding_dup_pairs_lsh_ds(
     - ``"ids"`` (default, the scale path): band rows carry ONLY
       (vec_id, band_id, band_hash) — ~20 bytes/row vs 20 + 4·d — and
       full vectors are re-fetched for the exact verify through the
-      minhash-style candidate funnel (count-gated isin pushdown /
+      candidate funnel (count-gated isin pushdown /
       Bloom semi-join + two bucket joins). Candidates, recall and the
       verified pair set are hash-identical to the ride-along plan
       (same planes, same packing; cross-validated in
@@ -556,8 +556,7 @@ def embedding_dup_pairs_lsh_ds(
     ``max_bucket_vecs`` — ``"star"`` (production: verify star pairs to
     the min id only, logged) or ``"raise"`` (oracle-gated contexts:
     the star cap is NOT modeled by the exact-all-pairs SQL oracle, so
-    fail loudly instead of hash-mismatching confusingly; mirrors
-    ``_minhash_pairs_ds``)."""
+    fail loudly instead of hash-mismatching confusingly)."""
     from ..config import exchange_fanout
     from ..stages.shuffle import NO_FUSE_NUM_CPUS
 
@@ -615,9 +614,9 @@ def embedding_dup_pairs_lsh_ds(
     def bucket_verify(g: pd.DataFrame) -> pd.DataFrame:
         """exact cosine within each (band_id, band_hash) bucket: local
         normalized matmul over the bucket's vectors, threshold, emit
-        verified pairs. Degenerate buckets verify star pairs only (the
-        minhash star-cap rationale: connectivity to one representative
-        suffices, bounded O(n))."""
+        verified pairs. Degenerate buckets verify star pairs only
+        (connectivity to one representative suffices, bounded
+        O(n))."""
         outs = []
         for (_, _), grp in g.groupby(["band_id", "band_hash"]):
             if len(grp) < 2:
@@ -1143,7 +1142,7 @@ def semantic_dedup_ds(
     each cluster greedily drop any document whose cosine similarity to
     an already-kept LOWER-vec_id document reaches ``eps`` —
     keep-one-representative in embedding space, the semantic cousin of
-    the MinHash keep-min rule (reference keep-one:
+    an exact dedup's keep-min rule (reference keep-one:
     src/relation_extraction/reporter.py).
 
     Scale: the clustering pass is shuffle-free (see

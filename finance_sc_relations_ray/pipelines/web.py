@@ -160,7 +160,7 @@ def url_dedup_pages(pages_path: str) -> "object":
     the Common-Crawl "keep newest snapshot per page" aggregate.
     Columns: url (canonical), n_dups, last_ts.
 
-    Distributed plan (the dedup_exact_ds combiner shape): map-only
+    Distributed plan (a combiner shape): map-only
     canonicalize + per-batch (url → count, max ts) partials, then ONE
     groupby(url) folding Sum/Max — only one row per (batch, url) ever
     crosses the exchange, bounded regardless of how many snapshots of

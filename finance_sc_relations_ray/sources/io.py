@@ -64,7 +64,6 @@ def sized_read_parquet(
     EXPLODES rows 100×+ (shingles, doc×token) or does heavy per-doc
     CPU work need the downstream task fan-out even when the input file
     is tiny — measured at sf0.1: the 1-block read serialized
-    ngram_jaccard's shingle explode (5.1 s → 27.4 s) and
     unigram_logprob's tokenize (7.3 s → 11.4 s). Inputs over 64 MiB
     are stock either way, so this only matters at gate scale.
 
@@ -121,8 +120,8 @@ def candidate_filtered_read(
 ) -> "ray.data.Dataset":
     """Read only the rows of a parquet table whose ``key`` appears in
     ``ids_ds`` (a Dataset with one distinct int64 ``key`` column) — the
-    candidate-funnel scan shared by the MinHash verify stage and the
-    reduced-copy embedding-LSH verify (r3 verdict #2).
+    candidate-funnel scan of the reduced-copy embedding-LSH verify
+    (r3 verdict #2).
 
     Two regimes, switched by a DISTRIBUTED count (never a collect):
 
@@ -135,8 +134,8 @@ def candidate_filtered_read(
       driver holds only the fixed-size bitmap built by a distributed
       OR-reduce (functions/bloom.build_distributed). SUPERSET: Bloom
       false positives survive, so callers must consume the result
-      through an INNER join on ``key`` (both call sites do), which
-      drops them for free."""
+      through an INNER join on ``key`` (the embedding-LSH verify
+      does), which drops them for free."""
     import pyarrow as pa
     import pyarrow.dataset as pads
 

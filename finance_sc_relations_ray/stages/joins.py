@@ -20,9 +20,10 @@ RIGHT-side rows must fit in one task's heap (~|right| / num_buckets
 — size ``num_buckets`` to the right table, not the left). The left
 side streams through the same exchange but is never dict-materialized.
 
-Used by ``pipelines/text.py`` to replace two driver-side dicts flagged
-in round 1: the per-doc shingle-count map of the exact-Jaccard path and
-the candidate-text fetch of the MinHash verify stage.
+Used by the unigram log-prob lookup (``pipelines/text.py``), the
+TF-IDF / PMI / PageRank joins (``pipelines/graph.py``), the
+embedding-LSH candidate fetch (``pipelines/mlops.py``) and the
+relational bucket join (``pipelines/relational.py``).
 """
 
 from __future__ import annotations

@@ -45,8 +45,9 @@ import ray.data
 # re-bundles the SORTED input blocks before the group fn runs — the fn
 # then sees PARTIAL groups. Any group fn that needs the whole group
 # (hash joins; dedup merges; per-group argmax) silently corrupts:
-# reproduced on ngram_jaccard_pairs at sf0.1, where ~1 run in 5 lost
-# 98% of join rows (inner-join left rows split from their right rows).
+# reproduced at sf0.1 on an n-gram Jaccard bucket join, where ~1 run
+# in 5 lost 98% of join rows (inner-join left rows split from their
+# right rows).
 # A non-default num_cpus makes `_are_remote_args_compatible` fail
 # (canonicalized 0.99 != 1), so fusion is skipped and each call gets a
 # whole sorted block, 8/8 stable. The 0.01-CPU difference is

@@ -27,24 +27,13 @@ TABLES = [
 ]
 
 # one query per exchange family:
-#   combiner + groupby(text_hash)   -> dedup_exact
-#   minhash / simhash / ngram coarse-> minhash_dup_pairs, simhash_dup_pairs,
-#                                      ngram_jaccard_pairs
-#   component label propagation     -> dup_clusters
 #   embedding LSH coarse + funnel   -> embedding_dup_pairs_lsh
-#   span-hash buckets               -> span_dedup_documents
 #   bucket_lookup_join (tf-idf/pr)  -> tfidf_top_terms
 #   %nb user windows                -> events_rolling, user_sessions
 #   asof bucket exchange            -> events_asof_join
 #   relational bucket join          -> segment_order_stats_bucket_join
 BUCKETED_QUERIES = [
-    "dedup_exact",
-    "minhash_dup_pairs",
-    "simhash_dup_pairs",
-    "ngram_jaccard_pairs",
-    "dup_clusters",
     "embedding_dup_pairs_lsh",
-    "span_dedup_documents",
     "tfidf_top_terms",
     "events_rolling",
     "user_sessions",

@@ -1,32 +1,8 @@
-"""Cross-validation of the dedup family: the MinHash+LSH approximate
-path and the exact distributed n-gram-Jaccard path must agree on the
-driver's real testdata (both find the same ≥0.8 near-dup pairs —
-64 permutations / 16 bands gives band-match probability ≈1 at j≥0.8)."""
-
-from finance_sc_relations_ray.pipelines.text import (
-    minhash_dup_pairs,
-    ngram_jaccard_pairs,
-)
+"""Cross-validation of the embedding near-dup pair miner: the sign-LSH
+path must find exactly the exact path's pairs on the driver's real
+testdata."""
 
 SF = "/root/testdata/sf0.001"
-
-
-def test_lsh_and_exact_agree():
-    lsh = minhash_dup_pairs(SF, jaccard_threshold=0.8)
-    exact = ngram_jaccard_pairs(SF, threshold=0.8)
-    lsh_pairs = set(zip(lsh["doc_id_a"], lsh["doc_id_b"]))
-    exact_pairs = set(zip(exact["doc_id_a"], exact["doc_id_b"]))
-    # LSH verification step uses exact jaccard → no false positives
-    assert lsh_pairs <= exact_pairs
-    # recall at j≥0.8 with 16 bands × 4 rows: P(miss) ≈ (1-0.8^4)^16 ≈ 8e-5
-    assert len(lsh_pairs) == len(exact_pairs), (
-        sorted(exact_pairs - lsh_pairs)
-    )
-    # identical jaccard values where both report
-    le = lsh.set_index(["doc_id_a", "doc_id_b"])["jaccard"]
-    ee = exact.set_index(["doc_id_a", "doc_id_b"])["jaccard"]
-    for k in lsh_pairs:
-        assert abs(le[k] - ee[k]) < 1e-6
 
 
 def test_embedding_lsh_and_exact_agree():
